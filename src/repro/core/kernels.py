@@ -34,11 +34,31 @@ itself, so clones from ``with_alpha``/``with_users`` get their own):
 
 Documents then become weight vectors over those term columns and text
 sums become one mat-vec per location/document.
+
+The decision kernels take a score in its two halves.  The spatial half
+``SS(l, u)`` depends only on the location, the text half ``TS(doc, u)``
+only on the document, so callers compute each once
+(:meth:`DatasetArrays.spatial_scores` per location;
+:meth:`DatasetArrays.text_scores` / :meth:`DatasetArrays.pair_text_scores`
+per document) and hand both in as arrays.
+:meth:`DatasetArrays.threshold_mask_many` takes a *pair* layout: ``n``
+users (spatial scores and ``RSk`` thresholds) plus, per (user,
+document) pair, the user's position among the ``n`` and the pair's
+text score, so a location costs one gather
+``α·SS[pos] + (1−α)·TS[pair]``.  The greedy keyword selector keeps a
+per-query table of such pairs (one per user and HW set, see
+:mod:`repro.core.keyword_selection`) and replays it at every candidate
+location; :meth:`DatasetArrays.brstknn` takes the same arrays for one
+keyword set.  The guard band applies where a score meets its
+threshold, never to the stored halves: a pair within ``GUARD_EPS`` of
+its threshold is decided by the caller's scalar ``rescore``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
@@ -108,6 +128,20 @@ def _pairwise_norm(dx, dy, p: float):
         # the scalar metric on every platform (np.hypot/C hypot is not).
         return np.sqrt(dx * dx + dy * dy)
     return (dx**p + dy**p) ** (1.0 / p)
+
+
+def _guarded(scores, thresholds, rescore: Callable[[int], bool]):
+    """Guard-banded ``scores >= thresholds``: in-band entries ask ``rescore``."""
+    passed = scores >= thresholds + GUARD_EPS
+    for i in np.flatnonzero(np.abs(scores - thresholds) < GUARD_EPS).tolist():
+        passed[i] = rescore(i)
+    return passed
+
+
+def _normalized_text(sums, z):
+    """``min(1, sums / Z(u.d))``, 0 for users without scorable terms."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
 
 
 class DatasetArrays:
@@ -188,6 +222,10 @@ class DatasetArrays:
             return np.arange(self.num_users)
         return np.array([self.user_row[u.item_id] for u in users], dtype=np.intp)
 
+    def thresholds_for(self, users: Sequence[User], rsk: Mapping[int, float]):
+        """``RSk(u)`` per user, aligned with :meth:`rows_for`."""
+        return np.array([rsk[u.item_id] for u in users], dtype=np.float64)
+
     def _doc_weight_vector(self, doc: Mapping[int, int]):
         """Document term weights as a vector over the user-term columns.
 
@@ -225,10 +263,15 @@ class DatasetArrays:
         w = self._doc_weight_vector(doc)
         terms = self.user_terms if rows is None else self.user_terms[rows]
         z = self.user_z if rows is None else self.user_z[rows]
-        sums = terms @ w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
-        return ts
+        return _normalized_text(terms @ w, z)
+
+    def pair_text_scores(self, docs: Sequence[Mapping[int, int]], rows, pair_doc):
+        """``TS(docs[pair_doc[i]], user rows[i])`` for many (user, document) pairs."""
+        if not len(rows):
+            return np.zeros(0)
+        w_mat = np.stack([self._doc_weight_vector(doc) for doc in docs])
+        sums = np.einsum("ij,ij->i", self.user_terms[rows], w_mat[pair_doc])
+        return _normalized_text(sums, self.user_z[rows])
 
     def sts(self, location: Point, doc: Mapping[int, int], rows=None):
         """``STS`` of a (location, document) pair against every user."""
@@ -292,13 +335,7 @@ class DatasetArrays:
                 if len(cols) > ws:
                     per_user = -np.sort(-per_user, axis=1)[:, :ws]
                 extra = per_user.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(
-                z > 0.0,
-                np.minimum(1.0, (base + extra) / np.where(z > 0.0, z, 1.0)),
-                0.0,
-            )
-        out = alpha * ss + (1.0 - alpha) * ts
+        out = alpha * ss + (1.0 - alpha) * _normalized_text(base + extra, z)
         # z <= 0 users score alpha * ss exactly (scalar short-circuit).
         return np.where(z > 0.0, out, alpha * ss)
 
@@ -309,80 +346,24 @@ class DatasetArrays:
     # ------------------------------------------------------------------
     # Decision kernels (guard-banded; results match the scalar backend)
     # ------------------------------------------------------------------
-    def threshold_mask(
-        self,
-        location: Point,
-        doc: Mapping[int, int],
-        users: Sequence[User],
-        rsk: Mapping[int, float],
-    ) -> List[bool]:
-        """Guard-banded ``STS(location, doc, u) >= RSk(u)`` per user.
-
-        Pairs whose vectorized score lands within ``GUARD_EPS`` of the
-        threshold are re-scored with the scalar path, so the decisions
-        match the scalar scan exactly, ties included.
-        """
-        rows = self.rows_for(users)
-        scores = self.sts(location, doc, rows)
-        thresholds = np.array([rsk[u.item_id] for u in users], dtype=np.float64)
-        passed = scores >= thresholds + GUARD_EPS
-        for i in np.nonzero(np.abs(scores - thresholds) < GUARD_EPS)[0]:
-            u = users[i]
-            passed[i] = (
-                self.dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-            )
-        return passed.tolist()
-
     def threshold_mask_many(
-        self,
-        location: Point,
-        evals: Sequence[Tuple[Mapping[int, int], Sequence[User]]],
-        rsk: Mapping[int, float],
-    ) -> List[List[bool]]:
-        """:meth:`threshold_mask` for many (document, users) groups at one
-        location in a single kernel dispatch.
+        self, ss, thresholds, pair_pos, pair_ts, rescore: Callable[[int], bool]
+    ):
+        """Guard-banded ``STS >= RSk(u)`` for many (user, document) pairs
+        at one location, as one kernel dispatch.
 
-        All (user, document) pairs share one spatial-score vector and
-        one gathered text reduction, which matters when the groups are
-        small (the greedy selector's HW evaluations: tens of documents
-        with a handful of users each per location).
+        ``ss`` (``SS(location, u)``, see :meth:`spatial_scores`) and
+        ``thresholds`` (``RSk(u)``) describe ``n`` users; pair ``i``
+        belongs to user ``pair_pos[i]`` and has the location-independent
+        text score ``pair_ts[i]``, so every pair costs one gather.  Pairs
+        within ``GUARD_EPS`` of their threshold are decided by
+        ``rescore(i)``, the caller's scalar ``sts_parts`` test, so the
+        mask matches the scalar scan exactly, ties included.  Returns a
+        boolean array over the pairs.
         """
-        if not evals:
-            return []
-        ss_full = self.spatial_scores(location)
-        w_mat = np.stack([self._doc_weight_vector(doc) for doc, _ in evals])
-        pair_rows: List[int] = []
-        pair_docs: List[int] = []
-        thresholds: List[float] = []
-        for d, (_doc, members) in enumerate(evals):
-            for u in members:
-                pair_rows.append(self.user_row[u.item_id])
-                pair_docs.append(d)
-                thresholds.append(rsk[u.item_id])
-        rows = np.array(pair_rows, dtype=np.intp)
-        docs = np.array(pair_docs, dtype=np.intp)
-        thr = np.array(thresholds, dtype=np.float64)
-        sums = np.einsum("ij,ij->i", self.user_terms[rows], w_mat[docs])
-        z = self.user_z[rows]
-        ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
         alpha = self.dataset.alpha
-        scores = alpha * ss_full[rows] + (1.0 - alpha) * ts
-        passed = scores >= thr + GUARD_EPS
-        banded = np.nonzero(np.abs(scores - thr) < GUARD_EPS)[0]
-        out: List[List[bool]] = []
-        i = 0
-        flat = passed.tolist()
-        banded_set = set(banded.tolist())
-        for doc, members in evals:
-            group: List[bool] = []
-            for u in members:
-                ok = flat[i]
-                if i in banded_set:
-                    ok = self.dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
-                group.append(ok)
-                i += 1
-            out.append(group)
-        return out
+        scores = alpha * ss[pair_pos] + (1.0 - alpha) * pair_ts
+        return _guarded(scores, thresholds[pair_pos], rescore)
 
     def brstknn(
         self,
@@ -391,18 +372,42 @@ class DatasetArrays:
         keywords: Iterable[int],
         users: Sequence[User],
         rsk: Mapping[int, float],
+        *,
+        rows=None,
+        ss=None,
+        thresholds=None,
+        ts=None,
     ) -> frozenset:
         """Vectorized :func:`~repro.core.keyword_selection.compute_brstknn`.
 
-        Winner membership is ``STS >= RSk(u)`` via :meth:`threshold_mask`.
+        Winner membership is ``STS >= RSk(u)``, guard-banded like
+        :meth:`threshold_mask_many`.  A caller that evaluates several
+        keyword sets over the same users at one location passes the
+        users' ``rows``, spatial scores ``ss``, ``thresholds`` and text
+        scores ``ts`` under ``ox.d ∪ keywords`` instead of having them
+        rebuilt per call.
         """
         from .bounds import augmented_document
 
         if not users:
             return frozenset()
         doc = augmented_document(ox.terms, keywords)
-        passed = self.threshold_mask(location, doc, users, rsk)
-        return frozenset(u.item_id for u, ok in zip(users, passed) if ok)
+
+        def rescore(i: int) -> bool:
+            u = users[i]
+            return self.dataset.sts_parts(location, doc, u) >= rsk[u.item_id]
+
+        if rows is None:
+            rows = self.rows_for(users)
+        if ss is None:
+            ss = self.spatial_scores(location, rows)
+        if thresholds is None:
+            thresholds = self.thresholds_for(users, rsk)
+        if ts is None:
+            ts = self.text_scores(doc, rows)
+        alpha = self.dataset.alpha
+        passed = _guarded(alpha * ss + (1.0 - alpha) * ts, thresholds, rescore)
+        return frozenset(self.user_ids[rows[passed]].tolist())
 
     def shortlist(
         self,
@@ -425,7 +430,7 @@ class DatasetArrays:
             return []
         rows = self.rows_for(users)
         ub = self.location_upper(location, ox, candidate_terms, ws, rows)
-        thresholds = np.array([rsk[u.item_id] for u in users], dtype=np.float64)
+        thresholds = self.thresholds_for(users, rsk)
         keep = ub >= thresholds + GUARD_EPS
         banded = np.abs(ub - thresholds) < GUARD_EPS
         if banded.any():
@@ -468,11 +473,7 @@ class DatasetArrays:
         w = np.zeros((self.num_terms, n), dtype=np.float64)
         for j, c in enumerate(candidates):
             w[:, j] = self._doc_weight_vector(c.obj.terms)
-        sums = user_terms @ w
-        z = user_z[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(z > 0.0, np.minimum(1.0, sums / np.where(z > 0.0, z, 1.0)), 0.0)
-        return alpha * ss + (1.0 - alpha) * ts
+        return alpha * ss + (1.0 - alpha) * _normalized_text(user_terms @ w, user_z[:, None])
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,25 @@ BRSTkNN of the chosen set is recomputed before the caller compares
 candidates.  Greedy max coverage is the best possible polynomial
 approximation (``1 − 1/e``) unless P = NP.
 
+Algorithm 3 calls the greedy selector once per candidate location, and
+``HW_{w,u}`` does not depend on the location, so neither does the text
+half of the score of any (user, HW set) pair.  The numpy backend keeps
+them in a per-query **pair table** (:class:`_PairTable`, held in the
+``cache`` scratch the callers pass): one row per pair with the HW
+document id, the index of ``w`` among the ascending candidate keywords
+and the text score ``TS(ox.d ∪ HW_{w,u}, u)``.  A user's pairs are
+appended the first time the user appears in a shortlist, so the
+indexed search never scores users it has not resolved.  At a location,
+``LUW`` is then one kernel pass over the call's pairs
+(:meth:`~repro.core.kernels.DatasetArrays.threshold_mask_many`) that
+fills a boolean **cover matrix** (candidate keyword × user); the
+max-coverage greedy runs on that matrix (:func:`greedy_cover_matrix`,
+the same picks as :func:`greedy_max_coverage`).  The prefix and
+fallback evaluations reuse a per-query text-score vector per keyword
+set.  Only text scores are stored: the guard band applies where a
+score meets a threshold, and pairs inside it are re-scored with the
+scalar ``sts_parts``, so every decision matches the python backend.
+
 **Exact (Section 6.2.2, Algorithm 4).**  Enumerates combinations of
 size up to ``ws`` (see DESIGN.md §3.5 on why "up to" rather than the
 paper's "exactly") of the *useful* candidates (``W ∩ Wu`` where ``Wu``
@@ -34,7 +53,9 @@ exhaustive baseline).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
@@ -42,12 +63,18 @@ from ..spatial.geometry import Point
 from .bounds import augmented_document, candidate_term_weight
 from .kernels import arrays_for, resolve_backend
 
+try:  # the numpy paths only run after resolve_backend picked numpy
+    import numpy as np
+except ImportError:  # pragma: no cover - the CI image ships numpy
+    np = None  # type: ignore[assignment]
+
 __all__ = [
     "KeywordSelection",
     "compute_brstknn",
     "select_keywords_greedy",
     "select_keywords_exact",
     "greedy_max_coverage",
+    "greedy_cover_matrix",
 ]
 
 
@@ -109,6 +136,269 @@ def greedy_max_coverage(
     return chosen, covered
 
 
+def greedy_cover_matrix(cover, budget: int):
+    """:func:`greedy_max_coverage` over a boolean (key × element) matrix.
+
+    Row ``i`` holds the element set of the ``i``-th key in ascending key
+    order, so ``argmax`` taking the first maximum is the ascending-key
+    tie-break.  Returns the picked row indices in pick order and the
+    covered-element mask.
+    """
+    chosen: List[int] = []
+    covered = np.zeros(cover.shape[1], dtype=bool)
+    for _ in range(max(0, budget)):
+        gains = np.count_nonzero(cover & ~covered, axis=1)
+        if not gains.any():
+            break
+        best = int(gains.argmax())
+        chosen.append(best)
+        covered |= cover[best]
+    return chosen, covered
+
+
+def _hw_sets(
+    user: User, rank: Mapping[int, float], ws: int
+) -> List[Tuple[FrozenSet[int], int]]:
+    """``(HW_{w,u}, w)`` for every candidate ``w`` the user holds.
+
+    ``HW_{w,u}`` is the ``ws`` highest-ranked candidates of ``W ∩ u.d``
+    (``rank``: optimistic weight per candidate), forced to contain ``w``.
+    """
+    useful = sorted(rank.keys() & user.keyword_set, key=lambda t: (-rank[t], t))
+    head = useful[:ws]
+    return [
+        (frozenset(head if w in head else useful[: max(ws - 1, 0)] + [w]), w)
+        for w in useful
+    ]
+
+
+def _finish_greedy(
+    ws: int,
+    chosen: Sequence[int],
+    coverage_estimate: int,
+    has_luw: bool,
+    luw_sizes: Callable[[], Mapping[int, int]],
+    evaluate: Callable[[FrozenSet[int]], FrozenSet[int]],
+    scored: int,
+) -> KeywordSelection:
+    """The greedy selector's actual-BRSTkNN stage, shared by both backends.
+
+    ``chosen`` is the max-coverage pick over the LUW lists,
+    ``evaluate(keywords)`` the actual BRSTkNN of a keyword set and
+    ``luw_sizes()`` maps every candidate some user holds to ``|LUW_w|``.
+    """
+    best_set: FrozenSet[int] = frozenset()
+    best_users = evaluate(best_set)
+    # The LUW lists are optimistic, and under length-normalized
+    # measures a longer keyword set can score *worse*; evaluating
+    # every greedy prefix costs ws extra evaluations and only
+    # improves the answer (the full set remains a candidate).
+    for end in range(1, len(chosen) + 1):
+        prefix = frozenset(chosen[:end])
+        actual = evaluate(prefix)
+        scored += 1
+        if len(actual) > len(best_users):
+            best_set, best_users = prefix, actual
+
+    # Fallback pass: greedy on the *true* objective, run only when the
+    # LUW optimism demonstrably misled — the actual wins fall well short
+    # of the coverage estimate.  The LUW lists rank keywords by what
+    # they could win under the most optimistic companion set, which can
+    # fail when weights are skewed (TF-IDF) or heavily tied (KO).  The
+    # pool is capped to the candidates with the largest LUW lists so the
+    # pass stays a small constant number of actual BRSTkNN evaluations
+    # (DESIGN.md §3); the better of the two greedy answers is returned.
+    if has_luw and len(best_users) >= 0.8 * coverage_estimate:
+        return best_set, best_users, scored
+    sizes = luw_sizes()
+    ranked_pool = sorted(sizes, key=lambda t: (-sizes[t], t))[: 2 * ws + 6]
+    current: FrozenSet[int] = frozenset()
+    current_users = evaluate(current)
+    for _ in range(ws):
+        step_set, step_users = None, current_users
+        for w in ranked_pool:
+            if w in current:
+                continue
+            trial = current | {w}
+            winners = evaluate(trial)
+            scored += 1
+            if len(winners) > len(step_users):
+                step_set, step_users = trial, winners
+        if step_set is None:
+            break
+        current, current_users = step_set, step_users
+    if len(current_users) > len(best_users):
+        best_set, best_users = current, current_users
+    return best_set, best_users, scored
+
+
+class _PairTable:
+    """Per-query (user, HW-set) pairs of the numpy greedy selector.
+
+    Pair columns: HW document id (into ``docs``), keyword index (``w``'s
+    position in the ascending ``keys``) and the location-independent
+    text score ``TS(ox.d ∪ HW_{w,u}, u)``.  Users get a *slot* the first
+    time a shortlist holds them; a slot's pairs are the contiguous run
+    ``[slot_start, slot_start + slot_count)``; ``slot_thr`` holds the
+    user's ``RSk(u)``.  ``set_ts`` caches, per evaluated keyword set,
+    the text score of ``ox.d ∪ keywords`` per slot, extended as slots
+    are added.  Valid for one query: ``ox``, ``W``, ``ws`` and every
+    user's ``RSk(u)`` are fixed for its lifetime.
+    """
+
+    def __init__(
+        self, dataset: Dataset, ox: STObject, candidate_keywords: Sequence[int], ws: int
+    ) -> None:
+        self.dataset = dataset
+        self.arrays = arrays_for(dataset)
+        self.ox = ox
+        self.ws = ws
+        self.keys = sorted(set(candidate_keywords))
+        rank = {t: candidate_term_weight(dataset.relevance, ox.terms, t) for t in self.keys}
+        # Key indices by descending optimistic weight (the HW_{w,u}
+        # order), with the term column of each candidate users hold.
+        order = sorted(range(len(self.keys)), key=lambda i: (-rank[self.keys[i]], self.keys[i]))
+        cols = [self.arrays.term_col.get(self.keys[i], -1) for i in order]
+        self.rank_order = np.array(order, dtype=np.intp)
+        self.rank_held = np.array([c >= 0 for c in cols], dtype=bool)
+        self.rank_cols = np.array([c for c in cols if c >= 0], dtype=np.intp)
+        self.slot_of: Dict[int, int] = {}
+        self.slot_row = np.zeros(0, dtype=np.intp)
+        self.slot_start = np.zeros(0, dtype=np.intp)
+        self.slot_count = np.zeros(0, dtype=np.intp)
+        self.slot_thr = np.zeros(0)
+        self.pair_doc = np.zeros(0, dtype=np.intp)
+        self.pair_key = np.zeros(0, dtype=np.intp)
+        self.pair_ts = np.zeros(0)
+        self.docs: List[Dict[int, int]] = []
+        self.doc_id: Dict[FrozenSet[int], int] = {}
+        self.set_ts: Dict[FrozenSet[int], "np.ndarray"] = {}
+
+    def _slots(self, users: Sequence[User], rsk: Mapping[int, float]):
+        slot_of = self.slot_of
+        slots = [slot_of.get(u.item_id, -1) for u in users]
+        if -1 in slots:
+            self._register([u for u, s in zip(users, slots) if s < 0], rsk)
+            slots = [slot_of[u.item_id] for u in users]
+        return np.array(slots, dtype=np.intp)
+
+    def _register(self, fresh: Sequence[User], rsk: Mapping[int, float]) -> None:
+        """Give ``fresh`` users slots and build their pairs.
+
+        The array form of :func:`_hw_sets`: with the candidates in rank
+        order, a user's ``j``-th held candidate pairs with the first
+        ``ws`` held ones when ``j <= ws``, and with the first ``ws − 1``
+        plus itself otherwise.
+        """
+        user_row = self.arrays.user_row
+        rows: List[int] = []
+        thresholds: List[float] = []
+        for user in fresh:
+            if user.item_id not in self.slot_of:
+                self.slot_of[user.item_id] = len(self.slot_of)
+                rows.append(user_row[user.item_id])
+                thresholds.append(rsk[user.item_id])
+        rows_arr = np.array(rows, dtype=np.intp)
+        held = np.zeros((len(rows), len(self.keys)), dtype=bool)
+        held[:, self.rank_held] = self.arrays.user_terms[np.ix_(rows_arr, self.rank_cols)] > 0
+        counts = np.count_nonzero(held, axis=1)
+        pair_user, pair_rank = np.nonzero(held)  # per user, in rank order
+        ordinal = np.cumsum(held, axis=1)[pair_user, pair_rank]
+        width = max(self.ws, 1)
+        head = np.full((len(rows), width), -1, dtype=np.intp)
+        in_head = ordinal <= self.ws
+        head[pair_user[in_head], ordinal[in_head] - 1] = pair_rank[in_head]
+        hw = head[pair_user]
+        hw[~in_head, width - 1] = pair_rank[~in_head]
+        # Dense id per distinct HW row, one column at a time (re-densified
+        # after each column, so the codes never outgrow the pair count).
+        group = np.zeros(len(hw), dtype=np.intp)
+        for column in hw.T:
+            _, group = np.unique(
+                group * (len(self.keys) + 1) + column + 1, return_inverse=True
+            )
+        _, first = np.unique(group, return_index=True)
+        doc_ids = []
+        for ranks in hw[first].tolist():
+            hw_set = frozenset(self.keys[self.rank_order[r]] for r in ranks if r >= 0)
+            doc = self.doc_id.get(hw_set)
+            if doc is None:
+                doc = self.doc_id[hw_set] = len(self.docs)
+                self.docs.append(augmented_document(self.ox.terms, hw_set))
+            doc_ids.append(doc)
+        pair_doc = np.array(doc_ids, dtype=np.intp)[group]
+        ts = self.arrays.pair_text_scores(self.docs, rows_arr[pair_user], pair_doc)
+        starts = len(self.pair_doc) + np.cumsum(counts) - counts
+        self.slot_row = np.concatenate([self.slot_row, rows_arr])
+        self.slot_start = np.concatenate([self.slot_start, starts])
+        self.slot_count = np.concatenate([self.slot_count, counts])
+        self.slot_thr = np.concatenate([self.slot_thr, thresholds])
+        self.pair_doc = np.concatenate([self.pair_doc, pair_doc])
+        self.pair_key = np.concatenate([self.pair_key, self.rank_order[pair_rank]])
+        self.pair_ts = np.concatenate([self.pair_ts, ts])
+
+    def _set_ts(self, keywords: FrozenSet[int]):
+        """``TS(ox.d ∪ keywords, u)`` for every slot."""
+        ts = self.set_ts.get(keywords)
+        have = 0 if ts is None else len(ts)
+        if have < len(self.slot_row):
+            more = self.arrays.text_scores(
+                augmented_document(self.ox.terms, keywords), self.slot_row[have:]
+            )
+            ts = self.set_ts[keywords] = more if ts is None else np.concatenate([ts, more])
+        return ts
+
+    def select(
+        self, location: Point, users: Sequence[User], rsk: Mapping[int, float]
+    ) -> KeywordSelection:
+        arrays = self.arrays
+        slots = self._slots(users, rsk)
+        rows = self.slot_row[slots]
+        ss = arrays.spatial_scores(location, rows)
+        thresholds = self.slot_thr[slots]
+        counts = self.slot_count[slots]
+        total = int(counts.sum())
+        cover = np.zeros((len(self.keys), len(users)), dtype=bool)
+        pair_key = self.pair_key[:0]
+        if total:
+            # The call's pairs, user by user: slot runs laid end to end.
+            pos = np.repeat(np.arange(len(users)), counts)
+            run_shift = self.slot_start[slots] - (np.cumsum(counts) - counts)
+            pair = np.arange(total) + np.repeat(run_shift, counts)
+
+            def rescore(i: int) -> bool:
+                user = users[pos[i]]
+                doc = self.docs[self.pair_doc[pair[i]]]
+                return self.dataset.sts_parts(location, doc, user) >= rsk[user.item_id]
+
+            passed = arrays.threshold_mask_many(
+                ss, thresholds, pos, self.pair_ts[pair], rescore
+            )
+            pair_key = self.pair_key[pair]
+            cover[pair_key[passed], pos[passed]] = True
+        chosen, covered = greedy_cover_matrix(cover, self.ws)
+
+        def luw_sizes() -> Dict[int, int]:
+            sizes = np.count_nonzero(cover, axis=1).tolist()
+            return {self.keys[i]: sizes[i] for i in np.unique(pair_key).tolist()}
+
+        def evaluate(keywords: FrozenSet[int]) -> FrozenSet[int]:
+            return arrays.brstknn(
+                self.ox, location, keywords, users, rsk,
+                rows=rows, ss=ss, thresholds=thresholds, ts=self._set_ts(keywords)[slots],
+            )
+
+        return _finish_greedy(
+            self.ws,
+            [self.keys[i] for i in chosen],
+            int(np.count_nonzero(covered)),
+            bool(cover.any()),
+            luw_sizes,
+            evaluate,
+            total,
+        )
+
+
 def select_keywords_greedy(
     dataset: Dataset,
     ox: STObject,
@@ -128,26 +418,26 @@ def select_keywords_greedy(
     (Algorithm 3 calls this once per candidate location): the optimistic
     keyword weights and each user's HW sets depend only on
     ``(ox, candidate_keywords, ws)``, so they are computed for the first
-    location and replayed for the rest.
+    location and replayed for the rest — as the pair table under the
+    numpy backend.
     """
-    rel = dataset.relevance
     cache = cache if cache is not None else {}
-    cand_set = cache.get("cand_set")
-    if cand_set is None:
-        cand_set = cache["cand_set"] = set(candidate_keywords)
+    if resolve_backend(backend) == "numpy":
+        table = cache.get("pairs")
+        if table is None:
+            table = cache["pairs"] = _PairTable(dataset, ox, candidate_keywords, ws)
+        return table.select(location, users, rsk)
+
     # Optimistic per-keyword weight (Lemma 3 style): candidate added to
     # ox.d alone.  Used to rank candidates inside HW_{w,u}.
-    opt_weight = cache.get("opt_weight")
-    if opt_weight is None:
-        opt_weight = cache["opt_weight"] = {
-            t: candidate_term_weight(rel, ox.terms, t) for t in cand_set
+    rank = cache.get("rank")
+    if rank is None:
+        rank = cache["rank"] = {
+            t: candidate_term_weight(dataset.relevance, ox.terms, t)
+            for t in set(candidate_keywords)
         }
-
     # HW_{w,u} evaluations, grouped by the augmented document they
-    # score: distinct HW sets are few (subsets of the candidate pool of
-    # size <= ws), so the numpy backend scores each document once
-    # against all the users that need it instead of one scalar STS per
-    # (user, w) pair — the hot loop of the greedy selector.
+    # score, so each document is built once per location.
     hw_by_user: Dict[int, List[Tuple[FrozenSet[int], int]]] = cache.setdefault(
         "hw_by_user", {}
     )
@@ -156,104 +446,29 @@ def select_keywords_greedy(
     for user in users:
         entries = hw_by_user.get(user.item_id)
         if entries is None:
-            entries = []
-            useful = sorted(
-                cand_set & user.keyword_set, key=lambda t: (-opt_weight[t], t)
-            )
-            top = useful[: max(ws, 1)]
-            for w in useful:
-                # HW_{w,u}: ws highest-weight useful candidates, forced
-                # to contain w.
-                hw = list(top[: max(ws - 1, 0)]) if w not in top[: max(ws, 1)] else list(top[:ws])
-                if w not in hw:
-                    hw = hw[: max(ws - 1, 0)] + [w]
-                entries.append((frozenset(hw), w))
-            hw_by_user[user.item_id] = entries
+            entries = hw_by_user[user.item_id] = _hw_sets(user, rank, ws)
         for hw_set, w in entries:
             hw_evals.setdefault(hw_set, []).append((user, w))
             scored += 1
 
     luw: Dict[int, Set[int]] = {}
-    if resolve_backend(backend) == "numpy" and hw_evals:
-        arrays = arrays_for(dataset)
-        groups = [
-            (augmented_document(ox.terms, hw_set), members)
-            for hw_set, members in hw_evals.items()
-        ]
-        masks = arrays.threshold_mask_many(
-            location,
-            [(doc, [u for u, _ in members]) for doc, members in groups],
-            rsk,
-        )
-        for (_doc, members), passed in zip(groups, masks):
-            for ok, (user, w) in zip(passed, members):
-                if ok:
-                    luw.setdefault(w, set()).add(user.item_id)
-    else:
-        for hw_set, members in hw_evals.items():
-            doc = augmented_document(ox.terms, hw_set)
-            for user, w in members:
-                if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
-                    luw.setdefault(w, set()).add(user.item_id)
+    for hw_set, members in hw_evals.items():
+        doc = augmented_document(ox.terms, hw_set)
+        for user, w in members:
+            if dataset.sts_parts(location, doc, user) >= rsk[user.item_id]:
+                luw.setdefault(w, set()).add(user.item_id)
+    chosen, covered = greedy_max_coverage(luw, ws)
 
-    best_set: FrozenSet[int] = frozenset()
-    best_users = compute_brstknn(
-        dataset, ox, location, best_set, users, rsk, backend=backend
+    def luw_sizes() -> Dict[int, int]:
+        held = rank.keys() & {t for u in users for t in u.keyword_set}
+        return {t: len(luw.get(t, ())) for t in held}
+
+    def evaluate(keywords: FrozenSet[int]) -> FrozenSet[int]:
+        return compute_brstknn(dataset, ox, location, keywords, users, rsk)
+
+    return _finish_greedy(
+        ws, chosen, len(covered), bool(luw), luw_sizes, evaluate, scored
     )
-
-    coverage_estimate = 0
-    if luw:
-        chosen, covered = greedy_max_coverage(luw, ws)
-        coverage_estimate = len(covered)
-        # The LUW lists are optimistic, and under length-normalized
-        # measures a longer keyword set can score *worse*; evaluating
-        # every greedy prefix costs ws extra evaluations and only
-        # improves the answer (the full set remains a candidate).
-        for end in range(1, len(chosen) + 1):
-            prefix = frozenset(chosen[:end])
-            actual = compute_brstknn(
-                dataset, ox, location, prefix, users, rsk, backend=backend
-            )
-            scored += 1
-            if len(actual) > len(best_users):
-                best_set, best_users = prefix, actual
-
-    # Fallback pass: greedy on the *true* objective, run only when the
-    # LUW optimism demonstrably misled — the actual wins fall well short
-    # of the coverage estimate.  The LUW lists rank keywords by what
-    # they could win under the most optimistic companion set, which can
-    # fail when weights are skewed (TF-IDF) or heavily tied (KO).  The
-    # pool is capped to the candidates with the largest LUW lists so the
-    # pass stays a small constant number of actual BRSTkNN evaluations
-    # (DESIGN.md §3); the better of the two greedy answers is returned.
-    if luw and len(best_users) >= 0.8 * coverage_estimate:
-        return best_set, best_users, scored
-    ranked_pool = sorted(
-        cand_set & {t for u in users for t in u.keyword_set},
-        key=lambda t: (-len(luw.get(t, ())), t),
-    )[: 2 * ws + 6]
-    current: FrozenSet[int] = frozenset()
-    current_users = compute_brstknn(
-        dataset, ox, location, current, users, rsk, backend=backend
-    )
-    for _ in range(ws):
-        step_set, step_users = None, current_users
-        for w in ranked_pool:
-            if w in current:
-                continue
-            trial = current | {w}
-            winners = compute_brstknn(
-                dataset, ox, location, trial, users, rsk, backend=backend
-            )
-            scored += 1
-            if len(winners) > len(step_users):
-                step_set, step_users = trial, winners
-        if step_set is None:
-            break
-        current, current_users = step_set, step_users
-    if len(current_users) > len(best_users):
-        best_set, best_users = current, current_users
-    return best_set, best_users, scored
 
 
 def select_keywords_exact(
@@ -333,14 +548,29 @@ def select_keywords_exact(
         state_docs.append(((sub, size), doc, indices))
     if resolve_backend(backend) == "numpy" and state_docs:
         arrays = arrays_for(dataset)
-        masks = arrays.threshold_mask_many(
-            location,
-            [(doc, [users[idx] for idx in indices]) for _, doc, indices in state_docs],
-            rsk,
+        docs = [doc for _, doc, _ in state_docs]
+        pair_pos = np.array(
+            [idx for _, _, indices in state_docs for idx in indices], dtype=np.intp
         )
-        for (key, _doc, indices), passed in zip(state_docs, masks):
-            for idx, ok in zip(indices, passed):
-                won[idx][key] = ok
+        pair_doc = np.repeat(
+            np.arange(len(docs)), [len(indices) for _, _, indices in state_docs]
+        )
+        rows = arrays.rows_for(users)
+
+        def rescore(i: int) -> bool:
+            u = users[pair_pos[i]]
+            return dataset.sts_parts(location, docs[pair_doc[i]], u) >= rsk[u.item_id]
+
+        passed = iter(arrays.threshold_mask_many(
+            arrays.spatial_scores(location, rows),
+            arrays.thresholds_for(users, rsk),
+            pair_pos,
+            arrays.pair_text_scores(docs, rows[pair_pos], pair_doc),
+            rescore,
+        ).tolist())
+        for key, _doc, indices in state_docs:
+            for idx in indices:
+                won[idx][key] = next(passed)
     else:
         for key, doc, indices in state_docs:
             for idx in indices:

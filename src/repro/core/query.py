@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
@@ -40,6 +41,11 @@ class MaxBRSTkNNQuery:
     def __post_init__(self) -> None:
         if not self.locations:
             raise ValueError("MaxBRSTkNN query needs at least one candidate location")
+        for point in (self.ox.location, *self.locations):
+            # A NaN coordinate compares false against every bound, so it
+            # would slip through pruning on one backend and not another.
+            if not (math.isfinite(point.x) and math.isfinite(point.y)):
+                raise ValueError(f"query coordinates must be finite, got {point!r}")
         if self.ws < 0:
             raise ValueError("ws must be non-negative")
         if self.ws > len(set(self.keywords)):

@@ -1,7 +1,10 @@
 """Tests for query/result value types."""
 
+import math
+
 import pytest
 
+from repro import MaxBRSTkNNEngine, QueryOptions
 from repro.core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
@@ -35,6 +38,49 @@ class TestQueryValidation:
             ox=ox(), locations=[Point(0, 0)], keywords=[3, 1, 3, 1], ws=1, k=1
         )
         assert q.keywords == [3, 1]
+
+
+NON_FINITE = [
+    Point(math.nan, math.nan),
+    Point(0.0, math.nan),
+    Point(math.inf, 0.0),
+    Point(0.0, -math.inf),
+]
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_candidate_location(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MaxBRSTkNNQuery(
+                ox=ox(), locations=[Point(0, 0), bad], keywords=[1], ws=1, k=1
+            )
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_ox_location(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MaxBRSTkNNQuery(
+                ox=STObject(item_id=-1, location=bad, terms={}),
+                locations=[Point(0, 0)], keywords=[1], ws=1, k=1,
+            )
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_both_backends_raise(self, tiny_dataset, backend):
+        # A NaN candidate used to come back as the answer under the
+        # python backend (every bound comparison against it is false)
+        # while the numpy backend returned a real location.
+        engine = MaxBRSTkNNEngine(tiny_dataset)
+        with pytest.raises(ValueError, match="finite"):
+            engine.query(
+                MaxBRSTkNNQuery(
+                    ox=STObject(item_id=-1, location=Point(5, 5), terms={}),
+                    locations=[Point(5, 5), Point(math.nan, math.nan)],
+                    keywords=[0, 1, 2, 3],
+                    ws=2,
+                    k=3,
+                ),
+                QueryOptions(backend=backend),
+            )
 
 
 class TestResult:
