@@ -30,11 +30,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
-from repro.core.kernels import HAS_NUMPY  # noqa: E402
 from repro.datagen.users import query_pool  # noqa: E402
+from repro.serve.pool import PersistentWorkerPool  # noqa: E402
 
 
 def make_queries(workload, config, count: int):
@@ -45,7 +45,7 @@ def make_queries(workload, config, count: int):
     )
 
 
-def time_batch(engine, queries, backend, workers, method, repeats):
+def time_batch(engine, queries, backend, pool, method, repeats):
     """Best-of-N wall time for one cold batch call."""
     best = float("inf")
     results = None
@@ -53,8 +53,7 @@ def time_batch(engine, queries, backend, workers, method, repeats):
         engine.clear_topk_cache()
         t0 = time.perf_counter()
         results = engine.query_batch(
-            queries,
-            QueryOptions(method=method, backend=backend, workers=workers),
+            queries, QueryOptions(method=method, backend=backend), pool=pool
         )
         best = min(best, time.perf_counter() - t0)
     return best, results
@@ -71,11 +70,14 @@ def main(argv=None) -> int:
     parser.add_argument("--method", choices=["approx", "exact"], default="approx")
     parser.add_argument(
         "--backend",
-        choices=["python", "numpy", "auto"],
-        default="auto",
+        choices=["python", "numpy"],
+        default="numpy",
         help="kernels used by the batched runs (batch-1 included)",
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="persistent pool workers for the select stage (1 = in-process)",
+    )
     parser.add_argument(
         "--batch-sizes",
         type=int,
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
 
     print(f"dataset: {config.label()}", flush=True)
     bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(bench.dataset, fanout=config.fanout)
+    engine = MaxBRSTkNNEngine(bench.dataset, EngineConfig(fanout=config.fanout))
     # The workbench query object is regenerated per query below.
     from repro.datagen.users import generate_users
     workload = generate_users(
@@ -132,20 +134,28 @@ def main(argv=None) -> int:
         seed=config.seed,
     )
     queries = make_queries(workload, config, max(args.batch_sizes))
-    backend = args.backend if HAS_NUMPY or args.backend == "python" else "python"
 
+    # Started once, before any timed batch: worker start-up is not
+    # part of a batch's cost.
+    pool = (
+        PersistentWorkerPool(engine.dataset, args.workers) if args.workers > 1 else None
+    )
     rows = []
-    for size in args.batch_sizes:
-        elapsed, results = time_batch(
-            engine, queries[:size], backend, args.workers, args.method, args.repeats
-        )
-        qps = size / elapsed if elapsed > 0 else float("inf")
-        rows.append((size, elapsed, qps, results))
-        print(
-            f"batch {size:>4}: {1000 * elapsed:8.1f} ms total  "
-            f"{1000 * elapsed / size:7.2f} ms/query  {qps:8.2f} queries/sec",
-            flush=True,
-        )
+    try:
+        for size in args.batch_sizes:
+            elapsed, results = time_batch(
+                engine, queries[:size], args.backend, pool, args.method, args.repeats
+            )
+            qps = size / elapsed if elapsed > 0 else float("inf")
+            rows.append((size, elapsed, qps, results))
+            print(
+                f"batch {size:>4}: {1000 * elapsed:8.1f} ms total  "
+                f"{1000 * elapsed / size:7.2f} ms/query  {qps:8.2f} queries/sec",
+                flush=True,
+            )
+    finally:
+        if pool is not None:
+            pool.close()
 
     base_qps = rows[0][2]
     print(f"\nspeedup vs batch size {rows[0][0]}:")
@@ -156,7 +166,7 @@ def main(argv=None) -> int:
         payload = {
             "benchmark": "batch_throughput",
             "dataset": config.label(),
-            "backend": backend,
+            "backend": args.backend,
             "method": args.method,
             "workers": args.workers,
             "rows": [

@@ -44,7 +44,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.metrics import percentile  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
@@ -136,8 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--locations", type=int, default=DEFAULTS.num_locations)
     parser.add_argument("--k", type=int, default=DEFAULTS.k)
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    parser.add_argument("--backend", choices=["python", "numpy", "auto"],
-                        default="auto")
+    parser.add_argument("--backend", choices=["python", "numpy"],
+                        default="numpy")
     parser.add_argument("--pool", type=int, default=24,
                         help="distinct queries in the pool")
     parser.add_argument("--stream", type=int, default=192,
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
           f"(pool={args.pool}, stream={args.stream}, zipf_s={args.zipf_s}, "
           f"concurrency={args.concurrency})", flush=True)
     bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(bench.dataset, fanout=config.fanout)
+    engine = MaxBRSTkNNEngine(bench.dataset, EngineConfig(fanout=config.fanout))
     workload = generate_users(
         bench.dataset.objects,
         num_users=config.num_users,
@@ -195,7 +195,8 @@ def main(argv=None) -> int:
     reference = None
     if not args.no_verify:
         ref_engine = MaxBRSTkNNEngine(
-            bench.dataset, fanout=config.fanout, object_tree=engine.object_tree
+            bench.dataset, EngineConfig(fanout=config.fanout),
+            object_tree=engine.object_tree,
         )
         ref_options = QueryOptions(backend="python")
         reference = [ref_engine.query(q, ref_options) for q in pool]

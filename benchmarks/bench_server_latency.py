@@ -38,7 +38,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
 from repro.bench.metrics import percentile  # noqa: E402
@@ -91,8 +91,8 @@ def main(argv=None) -> int:
     parser.add_argument("--locations", type=int, default=DEFAULTS.num_locations)
     parser.add_argument("--k", type=int, default=DEFAULTS.k)
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    parser.add_argument("--backend", choices=["python", "numpy", "auto"],
-                        default="auto")
+    parser.add_argument("--backend", choices=["python", "numpy"],
+                        default="numpy")
     parser.add_argument("--concurrency", type=int, default=32)
     parser.add_argument("--queries", type=int, default=96,
                         help="total queries across all clients")
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     print(f"dataset: {config.label()}  "
           f"(concurrency={args.concurrency}, queries={args.queries})", flush=True)
     bench = build_workbench(config, cached=False)
-    engine = MaxBRSTkNNEngine(bench.dataset, fanout=config.fanout)
+    engine = MaxBRSTkNNEngine(bench.dataset, EngineConfig(fanout=config.fanout))
     workload = generate_users(
         bench.dataset.objects,
         num_users=config.num_users,

@@ -88,8 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--locations", type=int, default=DEFAULTS.num_locations)
     parser.add_argument("--k", type=int, default=DEFAULTS.k)
     parser.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    parser.add_argument("--backend", choices=["python", "numpy", "auto"],
-                        default="auto")
+    parser.add_argument("--backend", choices=["python", "numpy"],
+                        default="numpy")
     parser.add_argument("--mode", choices=["joint", "indexed"], default="joint",
                         help="query pipeline; indexed shares one MIUR-root "
                              "walk per flush and fans the searches out")

@@ -39,11 +39,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import MaxBRSTkNNEngine, QueryOptions  # noqa: E402
+from repro import EngineConfig, MaxBRSTkNNEngine, QueryOptions  # noqa: E402
 from repro.bench.harness import build_workbench  # noqa: E402
 from repro.bench.params import DEFAULTS  # noqa: E402
 from repro.core.joint_topk import joint_traversal  # noqa: E402
-from repro.core.kernels import HAS_NUMPY, tree_arrays_for  # noqa: E402
+from repro.core.kernels import tree_arrays_for  # noqa: E402
 from repro.datagen.users import generate_users, query_pool  # noqa: E402
 from repro.storage.iostats import IOCounter  # noqa: E402
 from repro.storage.pager import PageStore  # noqa: E402
@@ -96,10 +96,6 @@ def main(argv=None) -> int:
                              "than python (CI regression gate)")
     args = parser.parse_args(argv)
 
-    if not HAS_NUMPY:
-        print("numpy not installed; nothing to compare")
-        return 0
-
     config = DEFAULTS.with_(
         num_objects=args.objects, num_users=args.users, k=args.k,
         seed=args.seed,
@@ -111,7 +107,7 @@ def main(argv=None) -> int:
     print(f"dataset: {config.label()}", flush=True)
     bench = build_workbench(config, cached=False)
     engine = MaxBRSTkNNEngine(
-        bench.dataset, fanout=config.fanout, index_users=True
+        bench.dataset, EngineConfig(fanout=config.fanout, index_users=True)
     )
 
     t0 = time.perf_counter()

@@ -19,9 +19,10 @@ supervisor and may touch the raw pool):
   receiver — each returns a result handle whose ``get()``/iteration
   can hang forever on worker death.
 
-Synchronous ``pool.map`` on an *ephemeral* fork pool (the per-round
-``plan.workers > 1`` path, torn down with the round) is out of scope:
-its blast radius is one call, not a serving runtime.
+Synchronous ``pool.map`` is out of scope: on a pool created and torn
+down around one call, a hang's blast radius is that call, not a
+serving runtime.  The shipped query paths have no such pool — every
+out-of-process round runs on a ``PersistentWorkerPool``.
 
 Rules
 -----

@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 from ..core.baseline import baseline_select_candidate
 from ..core.candidate_selection import select_candidate
-from ..core.config import QueryOptions
+from ..core.config import EngineConfig, QueryOptions
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.indexed_users import indexed_users_maxbrstknn
 from ..core.joint_topk import joint_traversal, individual_topk
@@ -110,7 +110,9 @@ def _build(config: ExperimentConfig) -> Workbench:
         alpha=config.alpha,
         vocabulary=vocab,
     )
-    engine = MaxBRSTkNNEngine(dataset, fanout=config.fanout, index_users=True)
+    engine = MaxBRSTkNNEngine(
+        dataset, EngineConfig(fanout=config.fanout, index_users=True)
+    )
     query = MaxBRSTkNNQuery(
         ox=workload.query_object(),
         locations=list(workload.locations),
@@ -236,17 +238,26 @@ def measure_batch_throughput(bench: Workbench, workers: int = 1) -> TopKMetrics:
     Duplicate queries amortize the shared top-k phase exactly like
     distinct same-k queries do, so this times the batch-engine scaling
     without needing workload regeneration; ``mrpu_ms`` is mean runtime
-    per *query* here.  Distinct-query sweeps live in
+    per *query* here.  ``workers > 1`` runs the select stage on a
+    :class:`~repro.serve.pool.PersistentWorkerPool` of that width,
+    started before the timer.  Distinct-query sweeps live in
     ``benchmarks/bench_batch_throughput.py``.
     """
+    from ..serve.pool import PersistentWorkerPool
+
     config = bench.config
     queries = [bench.query] * max(1, config.batch_size)
     engine = bench.engine
     engine.clear_topk_cache()
     engine.reset_io()
-    t0 = time.perf_counter()
-    engine.query_batch(queries, config.query_options(workers=workers))
-    elapsed = time.perf_counter() - t0
+    pool = PersistentWorkerPool(engine.dataset, workers) if workers > 1 else None
+    try:
+        t0 = time.perf_counter()
+        engine.query_batch(queries, config.query_options(), pool=pool)
+        elapsed = time.perf_counter() - t0
+    finally:
+        if pool is not None:
+            pool.close()
     io = engine.io.total
     n = len(queries)
     return TopKMetrics(

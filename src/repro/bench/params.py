@@ -39,16 +39,16 @@ class ExperimentConfig:
     measure: str = "LM"          # LM | TF | KO
     seed: int = 0
     fanout: int = 32
-    backend: str = "python"      # scoring kernels: python | numpy | auto
+    backend: str = "python"      # scoring kernels: python | numpy
     batch_size: int = 1          # queries per query_batch call
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         """Functional update (frozen dataclass)."""
         return replace(self, **kwargs)
 
-    def query_options(self, workers: int = 1) -> QueryOptions:
+    def query_options(self) -> QueryOptions:
         """The typed :class:`QueryOptions` this experiment cell runs with."""
-        return QueryOptions(backend=self.backend, workers=workers)
+        return QueryOptions(backend=self.backend)
 
     def label(self) -> str:
         label = (

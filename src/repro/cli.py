@@ -19,8 +19,7 @@ Commands
 ``lint``        contract-aware static analysis (:mod:`repro.analysis`).
 
 All query commands build one :class:`repro.core.config.QueryOptions`
-from their flags — the CLI is a consumer of the typed API, not of the
-legacy string kwargs.
+from their flags — the CLI is a consumer of the typed API.
 """
 
 from __future__ import annotations
@@ -49,13 +48,12 @@ def _make_workload(args):
     return make_workload(workload_spec_from_args(args))
 
 
-def _query_options(args, workers: int = 1) -> QueryOptions:
+def _query_options(args) -> QueryOptions:
     """One QueryOptions from the shared CLI flags."""
     return QueryOptions(
         method=args.method,
         mode=getattr(args, "mode", "joint"),
         backend=args.backend,
-        workers=workers,
     )
 
 
@@ -101,21 +99,29 @@ def _cmd_demo(args) -> int:
 
 def _cmd_batch(args) -> int:
     """Answer ``--batch-size`` queries as one batch and report throughput."""
+    from .serve import PersistentWorkerPool
+
     dataset, workload = _make_workload(args)
     engine = MaxBRSTkNNEngine(dataset)
-    options = _query_options(args, workers=args.workers)
+    options = _query_options(args)
     queries = _make_query_pool(workload, args, args.batch_size)
-    if args.explain:
-        print(engine.plan(options, ks=[q.k for q in queries]).explain())
-    t0 = time.perf_counter()
-    results = engine.query_batch(queries, options)
-    elapsed = time.perf_counter() - t0
+    # Started before the timer; --workers 0 or less fails in the pool.
+    pool = PersistentWorkerPool(dataset, args.workers) if args.workers != 1 else None
+    try:
+        if args.explain:
+            print(engine.plan(options, ks=[q.k for q in queries], pool=pool).explain())
+        t0 = time.perf_counter()
+        results = engine.query_batch(queries, options, pool=pool)
+        elapsed = time.perf_counter() - t0
+    finally:
+        if pool is not None:
+            pool.close()
     for i, result in enumerate(results[: args.show]):
         print(f"[{i}] {result.summary()}")
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(f"batch of {len(queries)}: {1000 * elapsed:.1f} ms total, "
           f"{qps:.1f} queries/sec (backend={options.backend}, "
-          f"workers={options.workers})")
+          f"workers={args.workers})")
     return 0
 
 
@@ -225,7 +231,8 @@ def _cmd_serve(args) -> int:
                 # Inside the server context: pools (including a sharded
                 # engine's root search pool) are started, so explain()
                 # reports the execution that will actually happen.
-                print(engine.plan(options, ks=[q.k for q in queries]).explain())
+                print(server.plan(queries).explain())
+
             async def timed(q):
                 t0 = time.perf_counter()
                 result = await server.submit(q)
@@ -234,19 +241,22 @@ def _cmd_serve(args) -> int:
 
             t0 = time.perf_counter()
             results = await asyncio.gather(*(timed(q) for q in queries))
-            return list(results), time.perf_counter() - t0, server.stats_snapshot()
+            elapsed = time.perf_counter() - t0
+            # The same plan again, now that the engine's FlushHistory
+            # holds the served flushes: decisions rendered "static" on
+            # the cold engine re-resolve as "observed" from measured
+            # stage timings.
+            warm = server.plan(queries).explain() if args.explain else None
+            return list(results), elapsed, server.stats_snapshot(), warm
 
     try:
-        results, elapsed, snapshot = asyncio.run(run())
+        results, elapsed, snapshot, warm_plan = asyncio.run(run())
     finally:
         if args.transport == "socket":
             engine.close_hosts()
-    if args.explain:
-        # The same plan again, now that the engine's FlushHistory holds
-        # the served flushes: decisions rendered "static" on the cold
-        # engine re-resolve as "observed" from measured stage timings.
+    if warm_plan is not None:
         print("plan after serving (flush history warm):")
-        print(engine.plan(options, ks=[q.k for q in queries]).explain())
+        print(warm_plan)
     latencies.sort()
     qps = len(queries) / elapsed if elapsed > 0 else float("inf")
     print(f"served {len(queries)} concurrent queries in {1000 * elapsed:.1f} ms "
@@ -380,8 +390,8 @@ def _add_query_args(p: argparse.ArgumentParser, modes=("joint", "baseline", "ind
     p.add_argument("--ws", type=int, default=2)
     p.add_argument("--method", choices=["approx", "exact"], default="approx")
     p.add_argument("--mode", choices=list(modes), default="joint")
-    p.add_argument("--backend", choices=["python", "numpy", "auto"],
-                   default="auto", help="scoring kernels")
+    p.add_argument("--backend", choices=["python", "numpy"],
+                   default="numpy", help="scoring kernels")
     p.add_argument("--explain", action="store_true",
                    help="print the resolved QueryPlan before running")
 
@@ -400,7 +410,9 @@ def main(argv=None) -> int:
     _add_workload_args(batch)
     _add_query_args(batch)
     batch.add_argument("--batch-size", type=int, default=16)
-    batch.add_argument("--workers", type=int, default=1)
+    batch.add_argument("--workers", type=int, default=1,
+                       help="persistent pool workers for the select stage "
+                            "(1 = in-process)")
     batch.add_argument("--show", type=int, default=3,
                        help="print the first N results")
     batch.set_defaults(func=_cmd_batch)

@@ -1,7 +1,7 @@
 """The paper's primary contribution: MaxBRSTkNN query processing."""
 
 from .baseline import baseline_maxbrstknn, baseline_select_candidate
-from .batch import SharedTopK, SharedTraversalPool, query_batch
+from .batch import SharedTopK, SharedTraversalPool
 from .bounds import BoundCalculator, augmented_document
 from .candidate_selection import select_candidate, shortlist_locations
 from .engine import MaxBRSTkNNEngine
@@ -10,7 +10,6 @@ from .indexed_users import indexed_users_maxbrstknn
 from .joint_topk import individual_topk, joint_topk, joint_traversal
 from .kernels import (
     BACKENDS,
-    HAS_NUMPY,
     DatasetArrays,
     TreeArrays,
     arrays_for,
@@ -29,7 +28,6 @@ __all__ = [
     "BACKENDS",
     "BoundCalculator",
     "DatasetArrays",
-    "HAS_NUMPY",
     "MaxBRSTkNNEngine",
     "MaxBRSTkNNQuery",
     "MaxBRSTkNNResult",
@@ -50,7 +48,6 @@ __all__ = [
     "individual_topk",
     "joint_topk",
     "joint_traversal",
-    "query_batch",
     "resolve_backend",
     "select_candidate",
     "select_keywords_exact",

@@ -8,7 +8,7 @@ expensive query-independent phase every single time — the same
 redundancy the joint traversal removed *within* one query, one level
 up.
 
-:func:`query_batch` exploits it — and since PR 3, ``Mode.JOINT``
+:meth:`MaxBRSTkNNEngine.query_batch` exploits it, and ``Mode.JOINT``
 batches go further with **cross-k candidate-pool sharing**: one joint
 traversal at ``k_max = max(k)`` produces candidate pools that provably
 subsume the pools of every smaller ``k`` in the batch
@@ -17,9 +17,9 @@ is ever pruned at ``k_max``), and each k's thresholds are derived from
 the shared pool by Algorithm 2 (:class:`SharedTraversalPool`, memoized
 on the engine across batches).  A mixed-k batch therefore pays for a
 *single* tree walk.  Candidate selection stays per query, optionally
-vectorized (``Backend.NUMPY``) and optionally fanned out over a
-process pool (``QueryOptions.workers``).  Since PR 5, ``Mode.INDEXED``
-batches pool across k the same way: the node-RSk reformulation
+vectorized (``Backend.NUMPY``) and optionally fanned out over an
+injected :class:`~repro.serve.pool.PersistentWorkerPool`.
+``Mode.INDEXED`` batches pool across k the same way: the node-RSk reformulation
 (:mod:`repro.core.indexed_users`) made every per-k quantity derive
 pool-independently from one MIUR-root walk at ``k_max``, memoized on
 the engine as ``engine._root_pool``.  ``Mode.BASELINE`` shares its
@@ -27,7 +27,7 @@ per-user top-k per distinct k as before.
 
 Execution strategy is decided by :func:`repro.core.planner.plan_batch`
 and carried out by the unified phase pipeline
-(:class:`repro.core.pipeline.LocalExecutor` here; the sharded serving
+(:class:`repro.core.pipeline.LocalExecutor` on one engine; the sharded serving
 layer drives the same stages through a
 :class:`~repro.core.pipeline.ShardedExecutor`).  This module keeps the
 phase-1 sharing primitives (pool ensure/derive, the per-query select)
@@ -49,34 +49,27 @@ that (that is the point).
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .baseline import baseline_select_candidate
 from .candidate_selection import select_candidate
-from .config import QueryOptions, coerce_options
 from .joint_topk import (
     JointTraversalResult,
     derive_rsk_group as _derive_rsk_group_at,
     individual_topk,
     joint_traversal,
 )
-from .planner import EngineCapabilities, QueryPlan, plan_batch
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..serve.pool import PersistentWorkerPool
     from .engine import MaxBRSTkNNEngine
 
 __all__ = [
     "SharedTopK",
     "SharedTraversalPool",
     "derive_rsk_group",
-    "query_batch",
-    "execute_batch",
 ]
 
 
@@ -257,16 +250,12 @@ def _select_one(
     return result
 
 
-# ----------------------------------------------------------------------
-# Process-pool fan-out (fork only: workers inherit the indexes for free)
-# ----------------------------------------------------------------------
-
 def _select_chunk(dataset, payload: Tuple) -> List[MaxBRSTkNNResult]:
     """One select-stage chunk: several queries against one shared state.
 
-    The in-process / forked twin of the persistent pool's payload
-    runner (``repro.serve.pool._run_payload``) — same tuple layout, so
-    every execution mode runs identical code.
+    The in-process twin of the persistent pool's payload runner
+    (``repro.serve.pool._run_payload``) — same tuple layout, so both
+    execution modes run identical code.
     """
     from .payload import decode_select_payload
 
@@ -277,102 +266,3 @@ def _select_chunk(dataset, payload: Tuple) -> List[MaxBRSTkNNResult]:
         _select_one(dataset, query, shared, mode, method, backend)
         for query in queries
     ]
-
-
-#: State handed to forked workers via copy-on-write memory, not pickling.
-#: Guarded by _FORK_LOCK: concurrent query_batch calls (e.g. a serving
-#: layer with one engine per thread) must not interleave set/fork/clear.
-_FORK_STATE: Optional[Tuple] = None
-_FORK_LOCK = threading.Lock()
-
-
-def _run_forked(i: int) -> List[MaxBRSTkNNResult]:
-    dataset, payloads = _FORK_STATE
-    return _select_chunk(dataset, payloads[i])
-
-
-def _fork_execute(dataset, payloads: List[Tuple], workers: int) -> List[list]:
-    """Run select-stage chunks over an ephemeral fork pool.
-
-    Workers inherit ``dataset`` (and its pre-built kernel arrays)
-    through copy-on-write at fork time; only the chunk index crosses
-    the worker pipe.
-    """
-    global _FORK_STATE
-    with _FORK_LOCK:
-        _FORK_STATE = (dataset, payloads)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(workers, len(payloads))) as fork_pool:
-                return fork_pool.map(_run_forked, range(len(payloads)))
-        finally:
-            _FORK_STATE = None
-
-
-def query_batch(
-    engine: "MaxBRSTkNNEngine",
-    queries: Sequence[MaxBRSTkNNQuery],
-    options: Union[QueryOptions, str, None] = None,
-    *,
-    method: Optional[str] = None,
-    mode: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    pool: Optional["PersistentWorkerPool"] = None,
-) -> List[MaxBRSTkNNResult]:
-    """Answer many MaxBRSTkNN queries, sharing phase 1 per distinct k.
-
-    Parameters
-    ----------
-    queries:
-        Any number of queries (the empty batch returns ``[]``).  Queries
-        may repeat; duplicates cost only a selection pass each.
-    options:
-        A :class:`QueryOptions`; the legacy ``method=`` / ``mode=`` /
-        ``backend=`` / ``workers=`` kwargs keep working through the
-        deprecation shim.  Results are identical across backends.
-    pool:
-        Optional persistent worker pool (``repro.serve.pool``) used for
-        phase 2 instead of a per-call fork pool; amortizes worker
-        startup across batches (the serving layer passes one).
-    """
-    opts = coerce_options(
-        options, method=method, mode=mode, backend=backend, workers=workers,
-        api="query_batch",
-    )
-    queries = list(queries)
-    if not queries:
-        return []
-    plan = plan_batch(
-        opts,
-        EngineCapabilities.of(engine),
-        [q.k for q in queries],
-        history=getattr(engine, "flush_history", None),
-    )
-    return execute_batch(engine, queries, plan, pool=pool)
-
-
-def execute_batch(
-    engine: "MaxBRSTkNNEngine",
-    queries: Sequence[MaxBRSTkNNQuery],
-    plan: QueryPlan,
-    pool: Optional["PersistentWorkerPool"] = None,
-) -> List[MaxBRSTkNNResult]:
-    """Carry out a planned batch through the unified phase pipeline.
-
-    Thin wrapper: a :class:`repro.core.pipeline.LocalExecutor` drives
-    the mode's stage list (traverse → refine → select for joint,
-    root-traverse → search for indexed, topk → select for baseline) on
-    this one engine; per-stage accounting lands on
-    ``engine.last_flush_report``.
-    """
-    from .history import signature_of
-    from .pipeline import LocalExecutor
-
-    executor = LocalExecutor(engine, pool=pool)
-    results = executor.execute(queries, plan)
-    engine.last_flush_report = executor.last_flush_report
-    history = getattr(engine, "flush_history", None)
-    if history is not None and executor.last_flush_report is not None:
-        history.record(signature_of(plan), executor.last_flush_report)
-    return results

@@ -12,11 +12,11 @@ the simulated page store, the joint top-k, and the candidate selection
 The three layers (see also ``repro/serve`` for the one above):
 
 * :class:`~repro.core.config.QueryOptions` / ``EngineConfig`` — typed,
-  validated configuration (strings coerce; legacy kwargs map through a
-  deprecation shim);
+  validated configuration (enum fields accept their string values);
 * :mod:`repro.core.planner` — resolves options against the engine's
   capabilities into an executable :class:`QueryPlan`;
-* execution — this facade plus :mod:`repro.core.batch`.
+* execution — this facade, driving :mod:`repro.core.pipeline` over the
+  phase-1 sharing primitives of :mod:`repro.core.batch`.
 
 Modes
 -----
@@ -29,7 +29,7 @@ Modes
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..index.irtree import MIRTree
 from ..index.miurtree import MIURTree
@@ -38,14 +38,18 @@ from ..storage.iostats import IOCounter
 from ..storage.pager import LRUBuffer, PageStore
 from ..topk.single import TopKResult, topk_all_users_individually
 from .baseline import baseline_maxbrstknn
-from .batch import query_batch
 from .candidate_selection import select_candidate
-from .config import EngineConfig, Mode, QueryOptions, coerce_options
-from .history import FlushHistory
+from .config import EngineConfig, Mode, QueryOptions
+from .history import FlushHistory, signature_of
 from .indexed_users import indexed_users_maxbrstknn
 from .joint_topk import individual_topk, joint_traversal
+from .kernels import arrays_for, tree_arrays_for
+from .pipeline import LocalExecutor
 from .planner import EngineCapabilities, QueryPlan, plan_batch, plan_query
 from .query import MaxBRSTkNNQuery, MaxBRSTkNNResult, QueryStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..serve.pool import PersistentWorkerPool
 
 __all__ = ["MaxBRSTkNNEngine"]
 
@@ -58,10 +62,8 @@ class MaxBRSTkNNEngine:
     dataset:
         The bichromatic dataset (objects, users, relevance, alpha).
     config:
-        Typed build configuration (:class:`EngineConfig`).  The legacy
-        ``fanout`` / ``index_users`` / ``buffer_pages`` kwargs still
-        work and map onto an :class:`EngineConfig`; passing both is an
-        error.
+        Typed build configuration (:class:`EngineConfig`); ``None``
+        means ``EngineConfig()``.
     object_tree:
         Optional pre-built MIR-tree over the *same* object set to share
         instead of building one (the sharded serving layer reuses the
@@ -79,37 +81,14 @@ class MaxBRSTkNNEngine:
         dataset: Dataset,
         config: Optional[EngineConfig] = None,
         *,
-        fanout: Optional[int] = None,
-        index_users: Optional[bool] = None,
-        buffer_pages: Optional[int] = None,
         object_tree: Optional[MIRTree] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("fanout", fanout),
-                ("index_users", index_users),
-                ("buffer_pages", buffer_pages),
-            )
-            if value is not None
-        }
-        if isinstance(config, int):
-            # Legacy positional fanout: MaxBRSTkNNEngine(ds, 8).
-            if "fanout" in legacy:
-                raise TypeError("MaxBRSTkNNEngine() got two values for 'fanout'")
-            legacy["fanout"] = config
-            config = None
-        if config is not None and not isinstance(config, EngineConfig):
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
             raise TypeError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config=EngineConfig(...) or legacy kwargs, "
-                f"not both (got {sorted(legacy)})"
-            )
-        if config is None:
-            config = EngineConfig(**legacy)
         if config.num_shards != 1:
             raise ValueError(
                 "MaxBRSTkNNEngine executes one partition; for "
@@ -191,22 +170,30 @@ class MaxBRSTkNNEngine:
     # ------------------------------------------------------------------
     # Planning / introspection
     # ------------------------------------------------------------------
-    def capabilities(self) -> EngineCapabilities:
-        """What this engine can execute (feeds the planner)."""
-        return EngineCapabilities.of(self)
+    def capabilities(
+        self, pool: Optional["PersistentWorkerPool"] = None
+    ) -> EngineCapabilities:
+        """What this engine can execute (feeds the planner).
+
+        ``pool`` is the persistent pool a batch would run its select
+        stage on; the planner sizes phase 2 by its width.
+        """
+        return EngineCapabilities.of(self, pool)
 
     def plan(
         self,
         options: Optional[QueryOptions] = None,
         ks: Sequence[int] = (),
+        pool: Optional["PersistentWorkerPool"] = None,
     ) -> QueryPlan:
         """Resolve ``options`` against this engine without executing.
 
         ``ks`` are the ``k`` values of a prospective batch; empty means
-        a single query.  ``plan(...).explain()`` describes the decision.
+        a single query.  ``pool`` is the persistent pool the batch would
+        be given.  ``plan(...).explain()`` describes the decision.
         """
-        options = options if options is not None else QueryOptions.default()
-        caps = self.capabilities()
+        options = QueryOptions.or_default(options)
+        caps = self.capabilities(pool)
         if ks:
             return plan_batch(options, caps, list(ks), history=self.flush_history)
         return plan_query(options, caps, history=self.flush_history)
@@ -231,24 +218,14 @@ class MaxBRSTkNNEngine:
     def query(
         self,
         query: MaxBRSTkNNQuery,
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
+        options: Optional[QueryOptions] = None,
     ) -> MaxBRSTkNNResult:
         """Answer one MaxBRSTkNN query.
 
-        ``options`` is a :class:`QueryOptions`; the legacy string
-        kwargs (``method=`` / ``mode=`` / ``backend=``) keep working
-        through the deprecation shim.  Results are identical across
-        backends (``Mode.BASELINE`` is the scalar oracle and ignores
-        the choice).
+        Results are identical across backends (``Mode.BASELINE`` is the
+        scalar oracle and ignores the choice).
         """
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend,
-            api="MaxBRSTkNNEngine.query",
-        )
+        opts = QueryOptions.or_default(options)
         plan = plan_query(opts, self.capabilities(), k=query.k)
         return self._execute_single(query, plan)
 
@@ -311,29 +288,35 @@ class MaxBRSTkNNEngine:
     def query_batch(
         self,
         queries: Sequence[MaxBRSTkNNQuery],
-        options: Union[QueryOptions, str, None] = None,
+        options: Optional[QueryOptions] = None,
         *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        pool=None,
+        pool: Optional["PersistentWorkerPool"] = None,
     ) -> List[MaxBRSTkNNResult]:
         """Answer a batch of queries, sharing phase 1 per distinct k.
 
-        See :func:`repro.core.batch.query_batch`; the shared phase is
-        memoized on the engine, so consecutive batches with the same k
-        skip it entirely (:meth:`clear_topk_cache` drops it).  ``pool``
-        optionally injects a persistent
-        :class:`repro.serve.pool.PersistentWorkerPool` for phase 2.
+        The shared phase is memoized on the engine, so consecutive
+        batches with the same k skip it entirely (:meth:`clear_topk_cache`
+        drops it); see :mod:`repro.core.batch` for the result contract.
+        ``pool`` optionally injects a
+        :class:`repro.serve.pool.PersistentWorkerPool` that the select
+        stage fans out over; the planner sizes phase 2 by its width.
+        Per-stage accounting lands on :attr:`last_flush_report` and
+        seasons :attr:`flush_history`.
         """
-        # Coerce here (not in batch.query_batch) so the deprecation
-        # warning's stacklevel lands on the user's call site.
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend, workers=workers,
-            api="MaxBRSTkNNEngine.query_batch",
+        opts = QueryOptions.or_default(options)
+        queries = list(queries)
+        if not queries:
+            return []
+        plan = plan_batch(
+            opts, self.capabilities(pool), [q.k for q in queries],
+            history=self.flush_history,
         )
-        return query_batch(self, queries, opts, pool=pool)
+        executor = LocalExecutor(self, pool=pool)
+        results = executor.execute(queries, plan)
+        self.last_flush_report = executor.last_flush_report
+        if self.last_flush_report is not None:
+            self.flush_history.record(signature_of(plan), self.last_flush_report)
+        return results
 
     def clear_topk_cache(self) -> None:
         """Drop the shared phase-1 caches used by ``query_batch``."""
@@ -346,12 +329,8 @@ class MaxBRSTkNNEngine:
 
         ``DatasetArrays`` plus the object tree's ``TreeArrays`` — so the
         first query pays no build cost and pool workers forked later
-        inherit them through copy-on-write.  No-op without numpy.
+        inherit them through copy-on-write.
         """
-        from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for
-
-        if not HAS_NUMPY:
-            return
         arrays_for(self.dataset)
         tree_arrays_for(self.object_tree)
         self.ensure_arena()
@@ -372,8 +351,7 @@ class MaxBRSTkNNEngine:
     def ensure_arena(self):
         """Materialize the shm arena + payload codec (idempotent).
 
-        Returns the arena, or ``None`` when ``config.use_shm`` is off or
-        numpy is unavailable (the dense columns *are* the numpy arrays).
+        Returns the arena, or ``None`` when ``config.use_shm`` is off.
         Must run before pool workers fork so they inherit shm-backed
         views through copy-on-write; respawned workers re-attach by
         name (:func:`repro.serve.pool._init_worker`).
@@ -382,10 +360,6 @@ class MaxBRSTkNNEngine:
             return None
         if self._arena is not None:
             return self._arena
-        from .kernels import HAS_NUMPY, arrays_for, tree_arrays_for
-
-        if not HAS_NUMPY:
-            return None
         from .payload import PayloadCodec
         from ..storage.shm import ShmArena
 
@@ -416,3 +390,4 @@ class MaxBRSTkNNEngine:
         self.io.reset()
         if self.store.buffer is not None:
             self.store.buffer.clear()
+

@@ -66,16 +66,9 @@ from ..spatial.geometry import Point
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.dataset import Dataset
 
-try:  # numpy is an optional accelerator; everything gates on HAS_NUMPY
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAS_NUMPY",
     "BACKENDS",
     "GUARD_EPS",
     "CandidatePoolArrays",
@@ -87,8 +80,8 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Recognized backend names; "auto" resolves to numpy when available.
-BACKENDS = ("python", "numpy", "auto")
+#: Recognized backend names: the scalar reference and the vectorized kernels.
+BACKENDS = ("python", "numpy")
 
 #: Width of the guard band around decision thresholds.  Must exceed the
 #: worst-case association-order rounding difference between a numpy
@@ -98,19 +91,11 @@ GUARD_EPS = 1e-9
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Map a user-facing backend choice to "python" or "numpy".
-
-    ``None`` and ``"auto"`` pick numpy when it is importable.  Asking
-    for ``"numpy"`` explicitly without numpy installed is an error.
-    """
+    """Validate a backend name; ``None`` means the default, "numpy"."""
     if backend is None:
-        backend = "auto"
+        return "numpy"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise RuntimeError("backend='numpy' requested but numpy is not installed")
     return backend
 
 
@@ -158,8 +143,6 @@ class DatasetArrays:
     build_count = 0
 
     def __init__(self, dataset: "Dataset") -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("DatasetArrays requires numpy")
         DatasetArrays.build_count += 1
         self.dataset = dataset
         users = dataset.users
@@ -520,8 +503,6 @@ class TreeArrays:
     build_count = 0
 
     def __init__(self, tree) -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("TreeArrays requires numpy")
         TreeArrays.build_count += 1
         self.tree = tree
         self.index_name = tree.index_name
@@ -763,8 +744,6 @@ class CandidatePoolArrays:
     """
 
     def __init__(self, dataset: "Dataset", candidates: Sequence) -> None:
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("CandidatePoolArrays requires numpy")
         self.dataset = dataset
         self.size = len(candidates)
         self.x = np.array([c.obj.location.x for c in candidates], dtype=np.float64)

@@ -57,16 +57,13 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
+import numpy as np
+
 from ..model.dataset import Dataset
 from ..model.objects import STObject, User
 from ..spatial.geometry import Point
 from .bounds import augmented_document, candidate_term_weight
 from .kernels import arrays_for, resolve_backend
-
-try:  # the numpy paths only run after resolve_backend picked numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "KeywordSelection",

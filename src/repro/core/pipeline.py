@@ -1,7 +1,7 @@
 """Unified phase-pipeline executor: one logical plan, many physical executors.
 
 Before PR 5, batch orchestration lived twice: :mod:`repro.core.batch`
-hand-rolled the single-engine flow (phase-1 sharing, fork fan-out,
+hand-rolled the single-engine flow (phase-1 sharing, process fan-out,
 pool chunking) while :mod:`repro.serve.sharded` re-implemented the same
 traverse → refine → shortlist → search flow as per-phase scatter loops.
 Keeping the two in lockstep was manual work, and every asymmetry showed
@@ -20,14 +20,13 @@ scatter contract**::
     merge(ctx, partials per shard)               (gather, writes outputs)
 
 ``run`` is :func:`execute_shard_payload` — the ONE worker entry point
-shared by forked pool workers and the deterministic in-process
+shared by persistent pool workers and the deterministic in-process
 fallback, so both execution modes are the same code path.  Two
 executors drive the pipeline:
 
 * :class:`LocalExecutor` — one engine, one implicit shard (the full
-  dataset); replaces the hand-rolled orchestration in
-  ``batch.execute_batch``.  Phase 2 optionally fans out over a
-  persistent pool or an ephemeral fork pool, exactly as before.
+  dataset), behind ``MaxBRSTkNNEngine.query_batch``.  Phase 2
+  optionally fans out over an injected persistent pool.
 * :class:`ShardedExecutor` — N partitioned engines; replaces the
   per-phase fan-out loops in ``ShardedEngine``.  Refine/shortlist
   scatter once per shard per phase, the per-query searches fan out
@@ -894,9 +893,9 @@ class LocalExecutor(_ExecutorBase):
     """Drives the pipeline on one engine (the single implicit shard).
 
     Scatter stages see one :class:`ShardHandle` over the full dataset.
-    Query-axis stages (``select``) fan out over the injected persistent
-    pool when present, else over an ephemeral fork pool when the plan
-    asked for workers, else run in-process; user-axis stages always run
+    The query-axis ``select`` stage fans out over the injected
+    persistent pool unless the plan keeps it in-process
+    (``QueryPlan.select_inprocess``); user-axis stages always run
     in-process (there is exactly one partition).
     """
 
@@ -907,8 +906,6 @@ class LocalExecutor(_ExecutorBase):
         self.last_flush_report: Optional[FlushReport] = None
 
     def execute(self, queries: Sequence[MaxBRSTkNNQuery], plan: "QueryPlan") -> List[MaxBRSTkNNResult]:
-        from .kernels import arrays_for
-
         engine = self.engine
         ctx = FlushContext(
             engine=engine,
@@ -918,8 +915,6 @@ class LocalExecutor(_ExecutorBase):
             store=engine.store,
             users_total=len(engine.user_tree) if engine.user_tree is not None else 0,
         )
-        if plan.backend == "numpy":
-            arrays_for(engine.dataset)  # build before forking: shared via COW
         pipeline = build_pipeline(plan, sharded=False)
         return self._drive(pipeline, ctx)
 
@@ -927,8 +922,6 @@ class LocalExecutor(_ExecutorBase):
     def _run_scatter(
         self, stage: Stage, ctx: FlushContext
     ) -> Tuple[int, int, int, int, int, int]:
-        import multiprocessing
-
         plan = ctx.require("plan")
         queries = ctx.require("queries")
         if stage.name == "indexed-search":
@@ -948,22 +941,14 @@ class LocalExecutor(_ExecutorBase):
 
         want_pool = (
             stage.name == "select" and self.pool is not None
-            and len(queries) > 1 and not plan.select_inprocess
+            and not plan.select_inprocess
         )
         # A closed/broken pool degrades the round to in-process rather
         # than failing the flush; the split/merge layout is unchanged,
         # so the answer is bitwise-identical (only slower).
         pooled = want_pool and self.pool.available
         degraded = 1 if (want_pool and not pooled) else 0
-        forked = (
-            not pooled and plan.workers > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        workers = (
-            self.pool.workers if pooled
-            else plan.workers if forked
-            else 1
-        )
+        workers = self.pool.workers if pooled else 1
         shard = ShardHandle(
             shard_id=0,
             dataset=self.engine.dataset,
@@ -993,25 +978,11 @@ class LocalExecutor(_ExecutorBase):
                 chunks = _decode_gather(chunks)
             retries = self.pool.health.retries - retries_before
         if chunks is None:
-            if forked:
-                chunks = self._fork_round(payloads, plan.workers)
-            else:
-                from .batch import _select_chunk
+            from .batch import _select_chunk
 
-                chunks = [_select_chunk(shard.dataset, p) for p in payloads]
+            chunks = [_select_chunk(shard.dataset, p) for p in payloads]
         stage.merge(ctx, [chunks])
         return workers, len(queries), retries, degraded, bytes_out, bytes_in
-
-    def _fork_round(self, payloads: List[tuple], workers: int):
-        """Ephemeral fork pool for one select round (plan.workers > 1).
-
-        Workers inherit the dataset through copy-on-write at fork time;
-        only chunk indices cross the pipe — the PR 3 COW discipline,
-        applied per round.
-        """
-        from .batch import _fork_execute
-
-        return _fork_execute(self.engine.dataset, payloads, workers)
 
 
 class ShardedExecutor(_ExecutorBase):

@@ -2,12 +2,12 @@
 
 The middle layer of the typed API.  :class:`QueryOptions` says what the
 caller *wants*; :class:`EngineCapabilities` says what the engine *has*
-(an MIUR-tree? numpy? a ``fork`` start method?); the planner resolves
-the pair into an executable :class:`QueryPlan` — which pipeline runs,
-which kernels score, whether the shared top-k cache applies, and how
-phase 2 fans out — and rejects impossible combinations up front
-(``Mode.INDEXED`` without a user tree, ``Backend.NUMPY`` without
-numpy) before any work is done.
+(an MIUR-tree? shards? a persistent worker pool, and how wide?); the
+planner resolves the pair into an executable :class:`QueryPlan` — which
+pipeline runs, which kernels score, whether the shared top-k cache
+applies, and how phase 2 fans out — and rejects impossible combinations
+up front (``Mode.INDEXED`` without a user tree, baseline on shards)
+before any work is done.
 
 Planning is also where batch execution strategies are chosen.  In
 particular, ``Mode.INDEXED`` batches used to fall back silently to
@@ -35,15 +35,14 @@ layer and the CLI surface it for observability.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .config import Method, Mode, QueryOptions
 from .history import FlushHistory, FlushSignature
-from .kernels import HAS_NUMPY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..serve.pool import PersistentWorkerPool
     from .engine import MaxBRSTkNNEngine
 
 __all__ = [
@@ -73,10 +72,6 @@ INPROCESS_STAGE_MS = 1.0
 LOW_QUEUE_DEPTH = 2.0
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 @dataclass(frozen=True, slots=True)
 class EngineCapabilities:
     """What one engine instance can execute.
@@ -88,8 +83,6 @@ class EngineCapabilities:
     """
 
     has_user_tree: bool
-    numpy_available: bool = HAS_NUMPY
-    fork_available: bool = True
     num_users: int = 0
     num_objects: int = 0
     traversal_pool_k: Optional[int] = None
@@ -106,19 +99,23 @@ class EngineCapabilities:
     #: Width of the sharded engine's gather-side search pool (0 = the
     #: central searches run in-process).
     search_workers: int = 0
+    #: Width of the persistent pool injected into a single engine's
+    #: ``query_batch`` for the select stage (0 = no pool: in-process).
+    pool_workers: int = 0
 
     @classmethod
-    def of(cls, engine: "MaxBRSTkNNEngine") -> "EngineCapabilities":
-        pool = engine._traversal_pool
+    def of(
+        cls, engine: "MaxBRSTkNNEngine", pool: Optional["PersistentWorkerPool"] = None
+    ) -> "EngineCapabilities":
+        traversal_pool = engine._traversal_pool
         root_pool = engine._root_pool
         return cls(
             has_user_tree=engine.user_tree is not None,
-            numpy_available=HAS_NUMPY,
-            fork_available=_fork_available(),
             num_users=len(engine.dataset.users),
             num_objects=len(engine.dataset.objects),
-            traversal_pool_k=pool.k if pool is not None else None,
+            traversal_pool_k=traversal_pool.k if traversal_pool is not None else None,
             root_pool_k=root_pool.k if root_pool is not None else None,
+            pool_workers=pool.workers if pool is not None else 0,
         )
 
 
@@ -191,8 +188,7 @@ class QueryPlan:
     mode / method:
         The validated pipeline and keyword selector.
     backend:
-        Concrete kernel backend ("python" or "numpy") — ``Backend.AUTO``
-        is resolved here, once, instead of at every call site.
+        Kernel backend name ("python" or "numpy").
     batch_size:
         Number of queries this plan covers (1 = single query).
     distinct_ks:
@@ -220,15 +216,16 @@ class QueryPlan:
         search makes identical decisions under any qualifying walk).
         ``None`` for baseline batches (no group traversal).
     workers:
-        Resolved phase-2 fan-out width; 1 means in-process.
+        Width of the persistent pool the select stage fans out over;
+        1 when it runs in-process.
     shard:
         Scatter/gather layout when the executing engine is sharded
         (:class:`ShardPlan`); ``None`` for single-engine execution.
     select_inprocess:
-        Observed decision: keep the local selection stage in-process
-        even though the caller asked for workers (measured per-query
-        selection cost under the pool-dispatch bar); ``workers`` is
-        forced to 1 alongside.
+        The local select stage runs in-process: no pool was injected,
+        the batch holds one query, or (observed decision) the measured
+        per-query selection cost is under the pool-dispatch bar.
+        ``workers`` is 1 whenever this is set.
     decisions:
         The :class:`PlanDecision` trail — what the planner chose at
         each adaptive point and whether measured history or the static
@@ -246,7 +243,7 @@ class QueryPlan:
     workers: int
     shared_traversal_k: Optional[int] = None
     shard: Optional[ShardPlan] = None
-    select_inprocess: bool = False
+    select_inprocess: bool = True
     decisions: Tuple[PlanDecision, ...] = ()
 
     # ------------------------------------------------------------------
@@ -356,9 +353,9 @@ class QueryPlan:
                     "  phase 2 (best-first MIUR search): in-process per query "
                     "(charges the engine's page store directly)"
                 )
-        elif self.workers > 1:
+        elif not self.select_inprocess:
             lines.append(
-                f"  phase 2 (candidate selection): fork pool x{self.workers}"
+                f"  phase 2 (candidate selection): persistent pool x{self.workers}"
             )
         else:
             lines.append("  phase 2 (candidate selection): in-process")
@@ -377,8 +374,7 @@ def _validate(options: QueryOptions, caps: EngineCapabilities) -> str:
         )
     if options.mode is Mode.INDEXED and not caps.has_user_tree:
         raise ValueError("engine built without index_users=True")
-    # Backend.NUMPY without numpy raises resolve()'s canonical RuntimeError.
-    return options.backend.resolve()
+    return options.backend.value
 
 
 def _shard_plan(caps: EngineCapabilities) -> Optional[ShardPlan]:
@@ -408,6 +404,7 @@ def _consult_history(
     options: QueryOptions,
     backend: str,
     workers: int,
+    select_inprocess: bool,
     shard: Optional[ShardPlan],
 ) -> Tuple[int, bool, Optional[ShardPlan], Tuple[PlanDecision, ...]]:
     """Apply the observed-cost model to the static plan's fan-outs.
@@ -426,7 +423,6 @@ def _consult_history(
     obs = history.observe(sig)
     seasoned = obs is not None and obs.flushes >= MIN_OBSERVED_FLUSHES
     decisions: List[PlanDecision] = []
-    select_inprocess = False
 
     def static(name: str, choice: str) -> None:
         if obs is None:
@@ -465,28 +461,26 @@ def _consult_history(
             else:
                 static("search-fanout", "in-process")
         elif ms is not None and ms < INPROCESS_STAGE_MS:
-            choice = "in-process"
-            if workers > 1:
-                workers = 1
-                select_inprocess = True
+            workers, select_inprocess = 1, True
             decisions.append(PlanDecision(
-                name="select-fanout", choice=choice, source="observed",
+                name="select-fanout", choice="in-process", source="observed",
                 rationale=(
                     f"selection averaged {ms:.3f} ms/query over the last "
                     f"{obs.flushes} flushes — under the "
-                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, a fork pool "
+                    f"{INPROCESS_STAGE_MS:.1f} ms/item bar, a worker pool "
                     f"cannot pay for its dispatch round-trip"
                 ),
             ))
         elif ms is not None:
-            choice = f"fork pool x{workers}" if workers > 1 else "in-process"
             extra = (
-                ""
-                if workers > 1
-                else "; pass QueryOptions(workers=N) to fan out"
+                "; selection fans out only over a pool injected with "
+                "query_batch(pool=PersistentWorkerPool(...)), for 2+ queries"
+                if select_inprocess
+                else ""
             )
             decisions.append(PlanDecision(
-                name="select-fanout", choice=choice, source="observed",
+                name="select-fanout", choice=_select_choice(workers, select_inprocess),
+                source="observed",
                 rationale=(
                     f"selection averaged {ms:.3f} ms/query over the last "
                     f"{obs.flushes} flushes — heavy enough that dispatch "
@@ -494,10 +488,7 @@ def _consult_history(
                 ),
             ))
         else:
-            static(
-                "select-fanout",
-                f"fork pool x{workers}" if workers > 1 else "in-process",
-            )
+            static("select-fanout", _select_choice(workers, select_inprocess))
         return workers, select_inprocess, shard, tuple(decisions)
 
     # Sharded executor: gather-side search fan-out, then (joint only)
@@ -562,6 +553,10 @@ def _consult_history(
     return workers, select_inprocess, shard, tuple(decisions)
 
 
+def _select_choice(workers: int, select_inprocess: bool) -> str:
+    return "in-process" if select_inprocess else f"persistent pool x{workers}"
+
+
 def plan_query(
     options: QueryOptions,
     caps: EngineCapabilities,
@@ -600,25 +595,23 @@ def plan_batch(
     """Plan a batch: share phase 1 per distinct k, fan out phase 2.
 
     ``ks`` are the queries' ``k`` values (one per query, duplicates
-    expected).  Indexed batches share the root traversal but keep the
-    best-first search in-process — its MIUR-tree page reads must hit
-    the engine's page store, which a forked worker could not report
-    back.  With ``history``, observed per-item costs at the flush's
-    signature may pull planned fan-outs back in-process (see
-    :func:`_consult_history`); the decision trail lands on
-    ``QueryPlan.decisions``.
+    expected).  Phase 2 fans out only over the persistent pool the
+    capabilities report (``pool_workers``).  Indexed batches share the
+    root traversal but keep the best-first search in-process — its
+    MIUR-tree page reads must hit the engine's page store, which a
+    pool worker could not report back.  With ``history``, observed
+    per-item costs at the flush's signature may pull planned fan-outs
+    back in-process (see :func:`_consult_history`); the decision trail
+    lands on ``QueryPlan.decisions``.
     """
     backend = _validate(options, caps)
     indexed = options.mode is Mode.INDEXED
-    fan_out = (
-        options.workers > 1
+    pooled = (
+        caps.pool_workers > 0
         and len(ks) > 1
         and not indexed
-        and caps.fork_available
         # Sharded engines get their parallelism from the scatter and
-        # the root search pool (ShardedEngine.start_pools), never from
-        # QueryOptions.workers — plan workers=1 so explain() stays
-        # truthful about what will execute.
+        # the root search pool (ShardedEngine.start_pools).
         and caps.num_shards == 1
     )
     distinct_ks = tuple(sorted(set(ks)))
@@ -637,12 +630,12 @@ def plan_batch(
     else:
         shared_traversal_k = None
     shard = _shard_plan(caps)
-    workers = options.workers if fan_out else 1
-    select_inprocess = False
+    workers = caps.pool_workers if pooled else 1
+    select_inprocess = not pooled
     decisions: Tuple[PlanDecision, ...] = ()
     if history is not None:
         workers, select_inprocess, shard, decisions = _consult_history(
-            history, options, backend, workers, shard
+            history, options, backend, workers, select_inprocess, shard
         )
     return QueryPlan(
         mode=options.mode,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
@@ -46,6 +47,13 @@ class MaxBRSTkNNQuery:
             # would slip through pruning on one backend and not another.
             if not (math.isfinite(point.x) and math.isfinite(point.y)):
                 raise ValueError(f"query coordinates must be finite, got {point!r}")
+        # k=2.5 answered under python but broke numpy's partition, and
+        # True passed as 1: integral (numpy ints too), not bool, -> int.
+        for name in ("ws", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (not bool), got {value!r}")
+            setattr(self, name, int(value))
         if self.ws < 0:
             raise ValueError("ws must be non-negative")
         if self.ws > len(set(self.keywords)):

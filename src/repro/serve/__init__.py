@@ -7,8 +7,9 @@ The top layer of the typed API (see ``repro/core/config.py`` and
   ``max_wait_ms``), persistent pool size, and the
   :class:`~repro.core.config.QueryOptions` every request runs with;
 * :class:`PersistentWorkerPool` — fork-once worker pool whose workers
-  inherit the dataset (and pre-built ``DatasetArrays``) at startup,
-  amortizing the per-call fork cost of ``query_batch(workers=N)``;
+  inherit the dataset (and pre-built ``DatasetArrays``) at startup; the
+  one way to fan ``query_batch``'s select stage out
+  (``engine.query_batch(queries, options, pool=pool)``);
 * :class:`MaxBRSTkNNServer` — asyncio front-end: ``await
   server.submit(query)`` futures are collected into micro-batches
   (flush on ``max_batch`` or ``max_wait_ms``; ``max_wait_ms="auto"``

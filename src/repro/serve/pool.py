@@ -1,10 +1,7 @@
 """Supervised persistent fork pool for scatter rounds.
 
-``query_batch(workers=N)`` forks a fresh pool on every call — workers
-inherit the indexes through copy-on-write for free, but the fork +
-teardown cost is paid per batch, which PR 1 left on the table.  A
-serving layer answers many batches over one immutable dataset, so this
-module forks **once at startup**: workers inherit the dataset and the
+A serving layer answers many batches over one immutable dataset, so
+this module forks **once at startup** instead of once per batch: workers inherit the dataset and the
 pre-built :class:`~repro.core.kernels.DatasetArrays` (built *before*
 the fork so the arrays live in shared copy-on-write pages), and each
 batch ships only small per-chunk payloads through the pool's queues —
@@ -65,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.batch import SharedTopK, _select_chunk
-from ..core.kernels import HAS_NUMPY, arrays_for
+from ..core.kernels import arrays_for
 from ..core.payload import encode_gather_payload
 from ..core.pipeline import execute_shard_payload
 from .config import DeadlinePolicy, RetryPolicy
@@ -292,8 +289,7 @@ class PersistentWorkerPool:
             raise RuntimeError(
                 "PersistentWorkerPool requires the 'fork' start method"
             )
-        if HAS_NUMPY:
-            arrays_for(dataset)  # build before forking: shared via COW
+        arrays_for(dataset)  # build before forking: shared via COW
         self.dataset = dataset
         self.workers = workers
         self.context = context

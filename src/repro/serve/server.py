@@ -10,7 +10,7 @@ caller on a future, a single flusher task collects everything pending
 has elapsed since the batch opened, whichever comes first), executes
 the micro-batch through ``engine.query_batch`` in a worker thread, and
 resolves the futures.  Concurrent callers therefore share the top-k
-phase — and the persistent fork pool, if configured — without knowing
+phase — and the persistent worker pool, if configured — without knowing
 about each other.
 
 Results are identical to sequential ``engine.query`` calls (that is
@@ -26,9 +26,10 @@ from functools import partial
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..core.cache import ResultCache
-from ..core.config import Mode
+from ..core.config import Backend, Mode
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.pipeline import ScatterFailure
+from ..core.planner import QueryPlan
 from ..core.query import MaxBRSTkNNQuery, MaxBRSTkNNResult
 from .config import AdaptiveWaitController, ServerConfig, ServerStats
 from .errors import ServerOverloaded, ServerStopped
@@ -109,7 +110,7 @@ class MaxBRSTkNNServer:
         self._stopping = False
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        if self.config.options.backend.resolve() == "numpy":
+        if self.config.options.backend is Backend.NUMPY:
             # Both engine types declare this hook (sharded engines also
             # build per-shard arrays behind it).
             self.engine.prewarm_kernels()
@@ -251,6 +252,12 @@ class MaxBRSTkNNServer:
     ) -> List[MaxBRSTkNNResult]:
         """Submit concurrently; results come back in submission order."""
         return list(await asyncio.gather(*(self.submit(q) for q in queries)))
+
+    def plan(self, queries: Sequence[MaxBRSTkNNQuery]) -> QueryPlan:
+        """The plan a flush of ``queries`` runs under, the server's pool included."""
+        return self.engine.plan(
+            self.config.options, ks=[q.k for q in queries], pool=self._pool
+        )
 
     def stats_snapshot(self) -> dict:
         """Server counters plus per-shard and adaptive-window detail.

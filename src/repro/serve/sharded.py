@@ -57,7 +57,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.config import EngineConfig, Mode, QueryOptions, coerce_options
+from ..core.config import EngineConfig, Mode, QueryOptions
 from ..core.engine import MaxBRSTkNNEngine
 from ..core.history import FlushHistory, signature_of
 from ..core.partial import MergedThresholds
@@ -269,10 +269,14 @@ class ShardedEngine:
         )
 
     def plan(
-        self, options: Optional[QueryOptions] = None, ks: Sequence[int] = ()
+        self,
+        options: Optional[QueryOptions] = None,
+        ks: Sequence[int] = (),
+        pool=None,
     ) -> QueryPlan:
         """Resolve options against the sharded layout without executing."""
-        options = options if options is not None else QueryOptions.default()
+        _refuse_external_pool(pool)
+        options = QueryOptions.or_default(options)
         caps = self.capabilities()
         if ks:
             return plan_batch(options, caps, list(ks), history=self.flush_history)
@@ -311,10 +315,8 @@ class ShardedEngine:
         ``DatasetArrays`` — so first-query latency pays no build cost
         and pools forked later inherit everything via copy-on-write.
         """
-        from ..core.kernels import HAS_NUMPY, arrays_for, tree_arrays_for
+        from ..core.kernels import arrays_for, tree_arrays_for
 
-        if not HAS_NUMPY:
-            return
         arrays_for(self.dataset)
         tree_arrays_for(self.root.object_tree)
         for shard in self._shards:
@@ -579,11 +581,7 @@ class ShardedEngine:
     def query(
         self,
         query: MaxBRSTkNNQuery,
-        options: Union[QueryOptions, str, None] = None,
-        *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
+        options: Optional[QueryOptions] = None,
     ) -> MaxBRSTkNNResult:
         """Answer one query (executed as a scatter/gather batch of one).
 
@@ -593,10 +591,7 @@ class ShardedEngine:
         guarantee; PR 5 extended it to the indexed node-RSk), so
         results still match sequential queries exactly.
         """
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend,
-            api="ShardedEngine.query",
-        )
+        opts = QueryOptions.or_default(options)
         # Plan as a batch of one directly (not plan_query): a 1-shard
         # ShardedEngine is indistinguishable from a single engine in
         # the capabilities, but execution always needs the shared-pool
@@ -609,35 +604,18 @@ class ShardedEngine:
     def query_batch(
         self,
         queries: Sequence[MaxBRSTkNNQuery],
-        options: Union[QueryOptions, str, None] = None,
+        options: Optional[QueryOptions] = None,
         *,
-        method: Optional[str] = None,
-        mode: Optional[str] = None,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
         pool=None,
     ) -> List[MaxBRSTkNNResult]:
         """Answer a batch: one shared walk, one scatter round per phase.
 
-        ``QueryOptions.workers`` does not apply here — parallelism
-        comes from the per-shard and search pools
-        (:meth:`start_pools`); the planner resolves sharded plans to
-        ``workers=1`` so ``explain()`` reflects that.
+        Parallelism comes from the per-shard and search pools
+        (:meth:`start_pools`); ``pool`` exists for signature parity
+        with :meth:`MaxBRSTkNNEngine.query_batch` and must be ``None``.
         """
-        if pool is not None:
-            raise TypeError(
-                "ShardedEngine owns its per-shard pools (start_pools()); "
-                "an external selection pool cannot be injected"
-            )
-        opts = coerce_options(
-            options, method=method, mode=mode, backend=backend, workers=workers,
-            api="ShardedEngine.query_batch",
-        )
-        if opts.workers != 1:
-            # Scatter/search pools are the only parallelism here; drop
-            # the fork fan-out request before planning so the plan (and
-            # explain()) never claims a pool this engine will not run.
-            opts = opts.with_(workers=1)
+        _refuse_external_pool(pool)
+        opts = QueryOptions.or_default(options)
         queries = list(queries)
         if not queries:
             return []
@@ -669,6 +647,15 @@ class ShardedEngine:
                 signature_of(plan), self._executor.last_flush_report
             )
         return results
+
+
+def _refuse_external_pool(pool) -> None:
+    """``pool=`` keeps signature parity with a single engine; only None fits."""
+    if pool is not None:
+        raise TypeError(
+            "ShardedEngine owns its per-shard pools (start_pools()); "
+            "an external selection pool cannot be injected"
+        )
 
 
 def make_engine(

@@ -16,8 +16,7 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
-from repro.core.kernels import HAS_NUMPY
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
@@ -29,7 +28,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance=measure, alpha=alpha)
-    engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
     query = MaxBRSTkNNQuery(
         ox=STObject(item_id=-1, location=Point(5, 5), terms={0: 1}),
         locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -46,7 +45,7 @@ def build_case(seed, vocab=16, alpha=0.5, k=4, n_obj=60, n_users=12, measure="LM
 def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
     engine, query = build_case(seed, k=k, alpha=alpha)
     results = {
-        mode: engine.query(query, method="exact", mode=mode)
+        mode: engine.query(query, QueryOptions(method="exact", mode=mode))
         for mode in ("joint", "baseline", "indexed")
     }
     cards = {mode: r.cardinality for mode, r in results.items()}
@@ -63,13 +62,12 @@ def test_modes_agree_on_optimal_cardinality(seed, k, alpha):
 def test_modes_agree_across_vocab_sizes(seed, vocab):
     engine, query = build_case(seed + 100, vocab=vocab)
     cards = {
-        mode: engine.query(query, method="exact", mode=mode).cardinality
+        mode: engine.query(query, QueryOptions(method="exact", mode=mode)).cardinality
         for mode in ("joint", "baseline", "indexed")
     }
     assert len(set(cards.values())) == 1, cards
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("measure", ["LM", "TF", "KO"])
 @pytest.mark.parametrize("mode,method", [
@@ -80,8 +78,8 @@ def test_modes_agree_across_vocab_sizes(seed, vocab):
 ])
 def test_numpy_backend_identical_results(seed, measure, mode, method):
     engine, query = build_case(seed, measure=measure)
-    py = engine.query(query, method=method, mode=mode, backend="python")
-    np_ = engine.query(query, method=method, mode=mode, backend="numpy")
+    py = engine.query(query, QueryOptions(method=method, mode=mode, backend="python"))
+    np_ = engine.query(query, QueryOptions(method=method, mode=mode, backend="numpy"))
     assert py.location == np_.location
     assert py.keywords == np_.keywords
     assert py.brstknn == np_.brstknn
@@ -90,15 +88,14 @@ def test_numpy_backend_identical_results(seed, measure, mode, method):
     assert py.stats.users_pruned == np_.stats.users_pruned
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_numpy_backend_identical_across_k_and_alpha(alpha, k):
     """Parametrized over k and alpha, including the pure-spatial and
     pure-textual corners where scores tie heavily."""
     engine, query = build_case(42, alpha=alpha, k=k)
-    py = engine.query(query, method="approx", mode="joint", backend="python")
-    np_ = engine.query(query, method="approx", mode="joint", backend="numpy")
+    py = engine.query(query, QueryOptions(method="approx", mode="joint", backend="python"))
+    np_ = engine.query(query, QueryOptions(method="approx", mode="joint", backend="numpy"))
     assert (py.location, py.keywords, py.brstknn) == (
         np_.location,
         np_.keywords,

@@ -15,14 +15,13 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
-from repro.core.kernels import HAS_NUMPY
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.model.objects import STObject
 from repro.spatial.geometry import Point
 
 from ..conftest import make_random_objects, make_random_users
 
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
+BACKENDS = ["python", "numpy"]
 
 
 def build_engine(seed=0, n_obj=70, n_users=14, vocab=18, index_users=False):
@@ -30,7 +29,7 @@ def build_engine(seed=0, n_obj=70, n_users=14, vocab=18, index_users=False):
     objects = make_random_objects(n_obj, vocab, rng)
     users = make_random_users(n_users, vocab, rng)
     dataset = Dataset(objects, users, relevance="LM", alpha=0.5)
-    return MaxBRSTkNNEngine(dataset, fanout=4, index_users=index_users), rng, vocab
+    return MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=index_users)), rng, vocab
 
 
 def make_queries(rng, vocab, count, ks=(3,)):
@@ -79,8 +78,8 @@ def assert_selection_stats_equal(a, b):
 def test_batch_equals_sequential(backend, mode):
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 6, ks=(3, 5))  # mixed k values
-    sequential = [engine.query(q, mode=mode, backend="python") for q in queries]
-    batched = engine.query_batch(queries, mode=mode, backend=backend)
+    sequential = [engine.query(q, QueryOptions(mode=mode, backend="python")) for q in queries]
+    batched = engine.query_batch(queries, QueryOptions(mode=mode, backend=backend))
     assert len(batched) == len(sequential)
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
@@ -106,9 +105,9 @@ def test_batch_equals_sequential_indexed(backend):
     engine, rng, vocab = build_engine(index_users=True)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, mode="indexed", backend="python") for q in queries
+        engine.query(q, QueryOptions(mode="indexed", backend="python")) for q in queries
     ]
-    batched = engine.query_batch(queries, mode="indexed", backend=backend)
+    batched = engine.query_batch(queries, QueryOptions(mode="indexed", backend=backend))
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)
@@ -122,13 +121,13 @@ def test_empty_batch():
 def test_duplicate_queries_get_identical_results():
     engine, rng, vocab = build_engine(seed=5)
     query = make_queries(rng, vocab, 1)[0]
-    batched = engine.query_batch([query, query, query], backend="python")
+    batched = engine.query_batch([query, query, query], QueryOptions(backend="python"))
     assert len(batched) == 3
     for other in batched[1:]:
         assert_result_equal(batched[0], other)
         assert_stats_equal(batched[0].stats, other.stats)
     # ...and they match a sequential call too.
-    solo = engine.query(query, backend="python")
+    solo = engine.query(query, QueryOptions(backend="python"))
     assert_result_equal(solo, batched[0])
 
 
@@ -199,11 +198,11 @@ def test_warm_pool_plan_and_stats_name_the_walk_actually_used():
 def test_baseline_shared_topk_cache_reused_across_batches():
     engine, rng, vocab = build_engine(seed=7)
     queries = make_queries(rng, vocab, 4, ks=(2, 4))
-    engine.query_batch(queries, mode="baseline")
+    engine.query_batch(queries, QueryOptions(mode="baseline"))
     cache = engine._shared_topk_cache
     assert set(cache) == {("baseline", 2), ("baseline", 4)}
     hits = {key: entry.hits for key, entry in cache.items()}
-    engine.query_batch(queries, mode="baseline")  # no phase-1 recompute
+    engine.query_batch(queries, QueryOptions(mode="baseline"))  # no phase-1 recompute
     assert set(cache) == {("baseline", 2), ("baseline", 4)}
     for key, entry in cache.items():
         assert entry.hits == hits[key] + 2
@@ -211,11 +210,19 @@ def test_baseline_shared_topk_cache_reused_across_batches():
     assert engine._shared_topk_cache == {}
 
 
-def test_batch_workers_match_inprocess():
+def test_batch_pooled_matches_inprocess():
+    import multiprocessing
+
+    from repro.serve.pool import PersistentWorkerPool
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("PersistentWorkerPool requires the fork start method")
     engine, rng, vocab = build_engine(seed=9)
     queries = make_queries(rng, vocab, 5)
-    inprocess = engine.query_batch(queries, workers=1)
-    fanned = engine.query_batch(queries, workers=2)
+    inprocess = engine.query_batch(queries)
+    with PersistentWorkerPool(engine.dataset, workers=2) as pool:
+        fanned = engine.query_batch(queries, pool=pool)
+    assert engine.last_flush_report.stage("select").scatter_width == 2
     for a, b in zip(inprocess, fanned):
         assert_result_equal(a, b)
         assert_stats_equal(a.stats, b.stats)
@@ -225,7 +232,7 @@ def test_batch_rejects_unknown_mode():
     engine, rng, vocab = build_engine()
     queries = make_queries(rng, vocab, 1)
     with pytest.raises(ValueError):
-        engine.query_batch(queries, mode="warp")
+        engine.query_batch(queries, QueryOptions(mode="warp"))
 
 
 def test_indexed_batch_shares_one_kmax_root_traversal():
@@ -329,14 +336,13 @@ def test_indexed_batch_stats_match_sequential_per_phase():
         assert bat.stats.io_invfile_blocks == solo.stats.io_invfile_blocks
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_batch_method_exact_matches_sequential():
     engine, rng, vocab = build_engine(seed=11)
     queries = make_queries(rng, vocab, 3)
     sequential = [
-        engine.query(q, method="exact", backend="python") for q in queries
+        engine.query(q, QueryOptions(method="exact", backend="python")) for q in queries
     ]
-    batched = engine.query_batch(queries, method="exact", backend="numpy")
+    batched = engine.query_batch(queries, QueryOptions(method="exact", backend="numpy"))
     for solo, bat in zip(sequential, batched):
         assert_result_equal(solo, bat)
         assert_stats_equal(solo.stats, bat.stats)

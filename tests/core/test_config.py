@@ -3,8 +3,6 @@
 import pytest
 
 from repro import Backend, EngineConfig, Method, Mode, QueryOptions
-from repro.core.config import coerce_options
-from repro.core.kernels import HAS_NUMPY
 
 
 class TestEnums:
@@ -33,10 +31,10 @@ class TestEnums:
         assert str(Mode.JOINT) == "joint"
         assert Backend.PYTHON == "python"
 
-    def test_backend_resolve(self):
-        assert Backend.PYTHON.resolve() == "python"
-        expected = "numpy" if HAS_NUMPY else "python"
-        assert Backend.AUTO.resolve() == expected
+    def test_backends_are_python_and_numpy(self):
+        assert [b.value for b in Backend] == ["python", "numpy"]
+        with pytest.raises(ValueError, match="unknown backend 'auto'"):
+            Backend.coerce("auto")
 
 
 class TestQueryOptions:
@@ -44,8 +42,12 @@ class TestQueryOptions:
         opts = QueryOptions()
         assert opts.method is Method.APPROX
         assert opts.mode is Mode.JOINT
-        assert opts.backend is Backend.AUTO
-        assert opts.workers == 1
+        assert opts.backend is Backend.NUMPY
+
+    def test_fields_are_method_mode_backend(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(QueryOptions)] == ["method", "mode", "backend"]
 
     def test_strings_coerce_in_constructor(self):
         opts = QueryOptions(method="exact", mode="baseline", backend="python")
@@ -60,24 +62,26 @@ class TestQueryOptions:
             QueryOptions(mode="turbo")
         with pytest.raises(ValueError):
             QueryOptions(backend="cuda")
-
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
-    def test_invalid_workers_rejected(self, workers):
         with pytest.raises(ValueError):
-            QueryOptions(workers=workers)
+            QueryOptions(backend="auto")
+
+    def test_workers_is_not_an_option(self):
+        # Query-axis fan-out comes from an injected PersistentWorkerPool.
+        with pytest.raises(TypeError):
+            QueryOptions(workers=2)
 
     def test_frozen(self):
         opts = QueryOptions()
         with pytest.raises(AttributeError):
-            opts.workers = 4
+            opts.backend = Backend.PYTHON
 
     def test_with_(self):
-        opts = QueryOptions().with_(method="exact", workers=3)
+        opts = QueryOptions().with_(method="exact", mode="baseline")
         assert opts.method is Method.EXACT
-        assert opts.workers == 3
-        assert QueryOptions().workers == 1  # original untouched
+        assert opts.mode is Mode.BASELINE
+        assert QueryOptions().mode is Mode.JOINT  # original untouched
 
-    def test_shared_default_is_auto_backend(self):
+    def test_shared_default_is_numpy_backend(self):
         """Regression: query defaulted "python", query_batch None.
 
         Both entry points now resolve through this one default; pinning
@@ -85,7 +89,7 @@ class TestQueryOptions:
         """
         default = QueryOptions.default()
         assert default == QueryOptions()
-        assert default.backend is Backend.AUTO
+        assert default.backend is Backend.NUMPY
 
 
 class TestSharedDefaultAcrossEntryPoints:
@@ -93,7 +97,6 @@ class TestSharedDefaultAcrossEntryPoints:
         """Both kwarg-less entry points must plan with QueryOptions.default()."""
         import random
 
-        import repro.core.batch as batch_mod
         import repro.core.engine as engine_mod
         from repro import Dataset, MaxBRSTkNNEngine
 
@@ -121,7 +124,7 @@ class TestSharedDefaultAcrossEntryPoints:
 
         seen = []
         real_plan_query = engine_mod.plan_query
-        real_plan_batch = batch_mod.plan_batch
+        real_plan_batch = engine_mod.plan_batch
         monkeypatch.setattr(
             engine_mod, "plan_query",
             lambda opts, caps, k=0, **kw: (
@@ -129,7 +132,7 @@ class TestSharedDefaultAcrossEntryPoints:
             ),
         )
         monkeypatch.setattr(
-            batch_mod, "plan_batch",
+            engine_mod, "plan_batch",
             lambda opts, caps, ks, **kw: (
                 seen.append(opts) or real_plan_batch(opts, caps, ks, **kw)
             ),
@@ -137,6 +140,43 @@ class TestSharedDefaultAcrossEntryPoints:
         engine.query(query)
         engine.query_batch([query])
         assert seen == [QueryOptions.default(), QueryOptions.default()]
+
+
+class TestOneEntrySurface:
+    """Every query entry point takes ``(query|queries, options)`` only."""
+
+    @pytest.fixture(scope="class")
+    def engines(self, tiny_dataset):
+        from repro import MaxBRSTkNNEngine, MaxBRSTkNNQuery
+        from repro.model.objects import STObject
+        from repro.serve import make_engine
+        from repro.spatial.geometry import Point
+
+        single = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
+        sharded = make_engine(tiny_dataset, EngineConfig(fanout=4, num_shards=2))
+        query = MaxBRSTkNNQuery(
+            ox=STObject(item_id=-1, location=Point(1.0, 1.0), terms={}),
+            locations=[Point(2.0, 2.0)], keywords=[0, 1, 2], ws=1, k=2,
+        )
+        return single, sharded, query
+
+    @pytest.mark.parametrize("kwarg", ["method", "mode", "backend", "workers"])
+    @pytest.mark.parametrize("engine_kind", ["single", "sharded"])
+    @pytest.mark.parametrize("entry", ["query", "query_batch"])
+    def test_loose_kwargs_rejected(self, engines, engine_kind, entry, kwarg):
+        single, sharded, query = engines
+        engine = single if engine_kind == "single" else sharded
+        arg = query if entry == "query" else [query]
+        value = 2 if kwarg == "workers" else "python"
+        with pytest.raises(TypeError):
+            getattr(engine, entry)(arg, **{kwarg: value})
+
+    @pytest.mark.parametrize("entry", ["query", "query_batch"])
+    def test_positional_method_string_rejected(self, engines, entry):
+        single, _, query = engines
+        arg = query if entry == "query" else [query]
+        with pytest.raises(TypeError, match="QueryOptions"):
+            getattr(single, entry)(arg, "exact")
 
 
 class TestEngineConfig:
@@ -172,54 +212,30 @@ class TestEngineConfig:
         assert engine.config.fanout == 4
         assert engine.user_tree is not None
 
-    def test_engine_rejects_config_plus_legacy_kwargs(self, tiny_dataset):
+    @pytest.mark.parametrize("config", ["fast", 4])
+    def test_engine_rejects_wrong_config_type(self, tiny_dataset, config):
         from repro import MaxBRSTkNNEngine
 
         with pytest.raises(TypeError):
-            MaxBRSTkNNEngine(tiny_dataset, EngineConfig(), fanout=8)
+            MaxBRSTkNNEngine(tiny_dataset, config)
 
-    def test_engine_legacy_kwargs_map_to_config(self, tiny_dataset):
-        from repro import MaxBRSTkNNEngine
-
-        engine = MaxBRSTkNNEngine(tiny_dataset, fanout=4, index_users=True)
-        assert engine.config == EngineConfig(fanout=4, index_users=True)
-
-    def test_engine_legacy_positional_fanout(self, tiny_dataset):
-        from repro import MaxBRSTkNNEngine
-
-        engine = MaxBRSTkNNEngine(tiny_dataset, 4)
-        assert engine.config == EngineConfig(fanout=4)
-        with pytest.raises(TypeError):
-            MaxBRSTkNNEngine(tiny_dataset, 4, fanout=8)
-
-    def test_engine_rejects_wrong_config_type(self, tiny_dataset):
+    @pytest.mark.parametrize("kwarg", ["fanout", "index_users", "buffer_pages"])
+    def test_engine_takes_build_knobs_only_through_config(self, tiny_dataset, kwarg):
         from repro import MaxBRSTkNNEngine
 
         with pytest.raises(TypeError):
-            MaxBRSTkNNEngine(tiny_dataset, "fast")
+            MaxBRSTkNNEngine(tiny_dataset, **{kwarg: 4})
 
 
-class TestCoerceOptions:
+class TestOrDefault:
     def test_none_yields_default(self):
-        assert coerce_options(None) == QueryOptions.default()
+        assert QueryOptions.or_default(None) is QueryOptions.default()
 
     def test_options_passthrough(self):
         opts = QueryOptions(method="exact")
-        assert coerce_options(opts) is opts
+        assert QueryOptions.or_default(opts) is opts
 
-    def test_options_plus_legacy_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_options(QueryOptions(), backend="python")
-
-    def test_wrong_type_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_options(42)
-
-    def test_legacy_positional_method_string(self):
-        with pytest.warns(DeprecationWarning):
-            opts = coerce_options("exact")
-        assert opts.method is Method.EXACT
-
-    def test_positional_string_plus_method_kwarg_rejected(self):
-        with pytest.raises(TypeError):
-            coerce_options("exact", method="approx")
+    @pytest.mark.parametrize("value", [42, "exact", {"method": "exact"}])
+    def test_wrong_type_rejected(self, value):
+        with pytest.raises(TypeError, match="QueryOptions"):
+            QueryOptions.or_default(value)

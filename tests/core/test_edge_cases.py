@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject, User
@@ -69,7 +69,7 @@ class TestDegenerateText:
             ws=0,
             k=3,
         )
-        res = engine.query(q, method="exact")
+        res = engine.query(q, QueryOptions(method="exact"))
         assert res.keywords == frozenset()
         assert res.location == q.locations[0]
 
@@ -88,7 +88,7 @@ class TestDegenerateText:
             ws=1,
             k=3,
         )
-        res = engine.query(q, method="exact")
+        res = engine.query(q, QueryOptions(method="exact"))
         assert res.cardinality >= 0  # must not crash; winning is possible
 
 
@@ -97,7 +97,7 @@ class TestSingleEntityWorlds:
         objects = [STObject(0, Point(0, 0), {0: 1})]
         users = [User(0, Point(1, 1), {0: 1})]
         ds = Dataset(objects, users)
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = MaxBRSTkNNQuery(
             ox=STObject(-1, Point(0.5, 0.5), {}),
             locations=[Point(0.5, 0.5)],
@@ -106,12 +106,12 @@ class TestSingleEntityWorlds:
             k=1,
         )
         for mode in ("joint", "baseline", "indexed"):
-            res = engine.query(q, method="exact", mode=mode)
+            res = engine.query(q, QueryOptions(method="exact", mode=mode))
             # ox matches the user's keyword and is closer than o0? Either
             # way all modes must agree.
             assert res.cardinality in (0, 1)
         cards = {
-            mode: engine.query(q, method="exact", mode=mode).cardinality
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode)).cardinality
             for mode in ("joint", "baseline", "indexed")
         }
         assert len(set(cards.values())) == 1
@@ -131,6 +131,6 @@ class TestSingleEntityWorlds:
             ws=2,
             k=10,
         )
-        res = engine.query(q, method="exact")
-        base = engine.query(q, method="exact", mode="baseline")
+        res = engine.query(q, QueryOptions(method="exact"))
+        base = engine.query(q, QueryOptions(method="exact", mode="baseline"))
         assert res.cardinality == base.cardinality

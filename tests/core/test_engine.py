@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MaxBRSTkNNEngine, MaxBRSTkNNQuery
+from repro import EngineConfig, MaxBRSTkNNEngine, MaxBRSTkNNQuery, QueryOptions
 from repro.core.query import QueryStats
 
 
@@ -19,10 +19,10 @@ def make_query(workload, ws=2, k=5):
 class TestEngineModes:
     def test_all_modes_agree_on_cardinality(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = make_query(workload)
         results = {
-            mode: engine.query(q, method="exact", mode=mode)
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode))
             for mode in ("baseline", "joint", "indexed")
         }
         cards = {m: r.cardinality for m, r in results.items()}
@@ -32,8 +32,8 @@ class TestEngineModes:
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         q = make_query(workload)
-        exact = engine.query(q, method="exact", mode="joint")
-        approx = engine.query(q, method="approx", mode="joint")
+        exact = engine.query(q, QueryOptions(method="exact", mode="joint"))
+        approx = engine.query(q, QueryOptions(method="approx", mode="joint"))
         assert approx.cardinality <= exact.cardinality
         if exact.cardinality:
             assert approx.cardinality / exact.cardinality >= 0.6
@@ -42,18 +42,18 @@ class TestEngineModes:
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         with pytest.raises(ValueError):
-            engine.query(make_query(workload), mode="indexed")
+            engine.query(make_query(workload), QueryOptions(mode="indexed"))
 
     def test_unknown_mode_rejected(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
         with pytest.raises(ValueError):
-            engine.query(make_query(workload), mode="turbo")
+            engine.query(make_query(workload), QueryOptions(mode="turbo"))
 
     def test_stats_populated(self, small_flickr):
         ds, workload = small_flickr
         engine = MaxBRSTkNNEngine(ds)
-        res = engine.query(make_query(workload), method="approx", mode="joint")
+        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="joint"))
         assert isinstance(res.stats, QueryStats)
         assert res.stats.topk_time_s > 0
         assert res.stats.io_total > 0
@@ -61,8 +61,8 @@ class TestEngineModes:
 
     def test_indexed_mode_prunes_users(self, small_flickr):
         ds, workload = small_flickr
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
-        res = engine.query(make_query(workload), method="approx", mode="indexed")
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
+        res = engine.query(make_query(workload), QueryOptions(method="approx", mode="indexed"))
         assert 0 <= res.stats.users_pruned <= len(ds.users)
         assert res.stats.users_pruned_pct == pytest.approx(
             100.0 * res.stats.users_pruned / len(ds.users)
@@ -91,7 +91,7 @@ class TestTopKEntryPoints:
     def test_buffered_engine_cheaper_io(self, small_flickr):
         ds, _ = small_flickr
         cold = MaxBRSTkNNEngine(ds)
-        warm = MaxBRSTkNNEngine(ds, buffer_pages=10_000)
+        warm = MaxBRSTkNNEngine(ds, EngineConfig(buffer_pages=10_000))
         cold.topk_baseline(5)
         warm.topk_baseline(5)
         assert warm.io.total < cold.io.total

@@ -10,7 +10,6 @@ from repro.core.history import (
 from repro.core.pipeline import FlushReport, StageStats
 from repro.core.planner import EngineCapabilities, plan_batch
 from repro.core.config import QueryOptions
-from repro.core.kernels import HAS_NUMPY
 
 SIG = FlushSignature(mode="joint", backend="python", scatter_width=1)
 OTHER = FlushSignature(mode="indexed", backend="python", scatter_width=1)
@@ -96,17 +95,13 @@ class TestSnapshot:
 
 class TestSignatureOf:
     def test_local_plan_signature(self):
-        caps = EngineCapabilities(
-            has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=True
-        )
+        caps = EngineCapabilities(has_user_tree=False)
         plan = plan_batch(QueryOptions(backend="python"), caps, ks=[3, 3])
         assert signature_of(plan) == SIG
 
     def test_sharded_plan_signature_carries_scatter_width(self):
         caps = EngineCapabilities(
             has_user_tree=False,
-            numpy_available=HAS_NUMPY,
-            fork_available=True,
             num_shards=2,
             partitioner="hash",
             shard_users=(6, 6),

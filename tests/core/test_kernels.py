@@ -15,7 +15,7 @@ import pytest
 from repro import Dataset
 from repro.core.bounds import BoundCalculator
 from repro.core.joint_topk import individual_topk, joint_traversal
-from repro.core.kernels import GUARD_EPS, HAS_NUMPY, arrays_for, resolve_backend
+from repro.core.kernels import GUARD_EPS, arrays_for, resolve_backend
 from repro.core.keyword_selection import compute_brstknn
 from repro.index.irtree import MIRTree
 from repro.model.objects import STObject
@@ -23,8 +23,6 @@ from repro.spatial.geometry import Point
 from repro.spatial.metrics import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 
 from ..conftest import make_random_objects, make_random_users
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 #: Element-wise kernels may differ from the scalar reference only far
 #: below the guard band that protects decisions.
@@ -184,7 +182,8 @@ def test_arrays_cache_does_not_leak_datasets():
 
 def test_resolve_backend():
     assert resolve_backend(None) == "numpy"
-    assert resolve_backend("auto") == "numpy"
     assert resolve_backend("python") == "python"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
+    # "auto" is no longer a backend: numpy is a hard dependency.
+    for unknown in ("fortran", "auto"):
+        with pytest.raises(ValueError):
+            resolve_backend(unknown)

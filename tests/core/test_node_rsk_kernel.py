@@ -9,7 +9,6 @@ from repro import Dataset, EngineConfig, MaxBRSTkNNEngine
 from repro.core.bounds import BoundCalculator
 from repro.core.indexed_users import _node_rsk, compute_root_traversal
 from repro.core.joint_topk import canonical_candidates, derive_rsk_group
-from repro.core.kernels import HAS_NUMPY
 
 from ..conftest import make_random_objects, make_random_users
 
@@ -36,7 +35,6 @@ def build_engine(seed):
     return dataset, MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
 @pytest.mark.parametrize("seed", range(8))
 def test_node_rsk_bitwise_identical_on_random_trees(seed):
     dataset, engine = build_engine(seed)
@@ -114,7 +112,6 @@ def test_derive_rsk_group_matches_dedicated_walks(seed):
         )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
 def test_empty_pool_returns_zero():
     rng = random.Random(1)
     dataset = Dataset(
@@ -128,7 +125,6 @@ def test_empty_pool_returns_zero():
     assert arrays.node_rsk(dataset.super_user, 1) == 0.0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels")
 def test_pool_smaller_than_k_matches_scalar():
     rng = random.Random(2)
     dataset = Dataset(

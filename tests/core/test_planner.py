@@ -1,26 +1,25 @@
 """Query planner: options x capabilities -> executable QueryPlan."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import Backend, EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
-from repro.core.kernels import HAS_NUMPY
+from repro import EngineConfig, MaxBRSTkNNEngine, Method, Mode, QueryOptions
 from repro.core.planner import EngineCapabilities, plan_batch, plan_query
 
-CAPS = EngineCapabilities(
-    has_user_tree=True, numpy_available=HAS_NUMPY, fork_available=True
-)
-CAPS_NO_TREE = EngineCapabilities(
-    has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=True
-)
+CAPS = EngineCapabilities(has_user_tree=True)
+CAPS_NO_TREE = EngineCapabilities(has_user_tree=False)
+#: CAPS with a 4-worker persistent pool injected for the select stage.
+POOLED = replace(CAPS, pool_workers=4)
 
 
 class TestPlanQuery:
-    def test_resolves_auto_backend(self):
-        plan = plan_query(QueryOptions(backend="auto"), CAPS)
-        assert plan.backend == ("numpy" if HAS_NUMPY else "python")
+    def test_backend_name_passes_through(self):
+        assert plan_query(QueryOptions(), CAPS).backend == "numpy"
+        assert plan_query(QueryOptions(backend="python"), CAPS).backend == "python"
 
     def test_single_query_never_shares_or_fans_out(self):
-        plan = plan_query(QueryOptions(workers=8), CAPS, k=5)
+        plan = plan_query(QueryOptions(), POOLED, k=5)
         assert plan.batch_size == 1
         assert plan.shared_topk is False
         assert plan.shared_traversal is False
@@ -31,11 +30,6 @@ class TestPlanQuery:
             plan_query(QueryOptions(mode="indexed"), CAPS_NO_TREE)
         plan = plan_query(QueryOptions(mode="indexed"), CAPS)
         assert plan.mode is Mode.INDEXED
-
-    @pytest.mark.skipif(HAS_NUMPY, reason="needs numpy to be absent")
-    def test_numpy_backend_without_numpy_raises(self):  # pragma: no cover
-        with pytest.raises(RuntimeError):
-            plan_query(QueryOptions(backend="numpy"), CAPS)
 
 
 class TestPlanBatch:
@@ -74,29 +68,26 @@ class TestPlanBatch:
         assert plan.shared_traversal_k == 7
 
     def test_indexed_batch_reuses_a_larger_existing_pool(self):
-        from dataclasses import replace
-
         warm = replace(CAPS, root_pool_k=9)
         plan = plan_batch(QueryOptions(mode="indexed"), warm, ks=[3, 7])
         assert plan.shared_traversal_k == 9  # names the walk actually used
 
     def test_indexed_batch_keeps_selection_in_process(self):
-        plan = plan_batch(QueryOptions(mode="indexed", workers=4), CAPS, ks=[3, 3])
+        plan = plan_batch(QueryOptions(mode="indexed"), POOLED, ks=[3, 3])
         assert plan.workers == 1
 
-    def test_workers_fan_out_when_possible(self):
-        plan = plan_batch(QueryOptions(workers=4), CAPS, ks=[3, 3])
+    def test_pool_fans_out_at_its_width(self):
+        plan = plan_batch(QueryOptions(), POOLED, ks=[3, 3])
         assert plan.workers == 4
+        assert plan.select_inprocess is False
 
-    def test_no_fan_out_without_fork(self):
-        caps = EngineCapabilities(
-            has_user_tree=False, numpy_available=HAS_NUMPY, fork_available=False
-        )
-        plan = plan_batch(QueryOptions(workers=4), caps, ks=[3, 3])
+    def test_no_fan_out_without_a_pool(self):
+        plan = plan_batch(QueryOptions(), CAPS, ks=[3, 3])
         assert plan.workers == 1
+        assert plan.select_inprocess is True
 
     def test_no_fan_out_for_single_query_batch(self):
-        plan = plan_batch(QueryOptions(workers=4), CAPS, ks=[3])
+        plan = plan_batch(QueryOptions(), POOLED, ks=[3])
         assert plan.workers == 1
 
 
@@ -109,11 +100,12 @@ class TestExplain:
 
     def test_batch_explain_mentions_sharing_and_fanout(self):
         text = plan_batch(
-            QueryOptions(backend="python", workers=3), CAPS, ks=[3, 5, 3]
+            QueryOptions(backend="python"), replace(CAPS, pool_workers=3),
+            ks=[3, 5, 3],
         ).explain()
         assert "batch of 3" in text
         assert "k=3,5" in text
-        assert "fork pool x3" in text
+        assert "persistent pool x3" in text
 
     def test_joint_batch_explain_reports_cross_k_reuse(self):
         text = plan_batch(
@@ -160,7 +152,7 @@ class TestObservedPlanning:
     def test_sub_ms_selection_pulls_fanout_in_process(self):
         history = self.seasoned_history(self.local_signature(), per_item_ms=0.1)
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), POOLED, ks=[3, 3],
             history=history,
         )
         assert plan.workers == 1
@@ -173,23 +165,33 @@ class TestObservedPlanning:
         assert "observed: select-fanout -> in-process" in text
         assert "phase 2 (candidate selection): in-process" in text
 
-    def test_heavy_selection_keeps_the_fork_pool(self):
+    def test_heavy_selection_keeps_the_pool(self):
         history = self.seasoned_history(self.local_signature(), per_item_ms=5.0)
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), POOLED, ks=[3, 3],
             history=history,
         )
         assert plan.workers == 4
         assert plan.select_inprocess is False
         (decision,) = plan.decisions
         assert decision.source == "observed"
-        assert "fork pool x4" in decision.choice
+        assert "persistent pool x4" in decision.choice
+        assert "phase 2 (candidate selection): persistent pool x4" in plan.explain()
+
+    def test_heavy_selection_without_a_pool_names_the_remedy(self):
+        history = self.seasoned_history(self.local_signature(), per_item_ms=5.0)
+        plan = plan_batch(
+            QueryOptions(backend="python"), CAPS, ks=[3, 3], history=history,
+        )
+        (decision,) = plan.decisions
+        assert decision.choice == "in-process"
+        assert "query_batch(pool=PersistentWorkerPool(...))" in decision.rationale
 
     def test_cold_engine_falls_back_to_static(self):
         from repro.core.history import FlushHistory
 
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), POOLED, ks=[3, 3],
             history=FlushHistory(),
         )
         assert plan.workers == 4  # static plan untouched
@@ -203,7 +205,7 @@ class TestObservedPlanning:
             self.local_signature(), per_item_ms=0.1, flushes=2
         )
         plan = plan_batch(
-            QueryOptions(backend="python", workers=4), CAPS, ks=[3, 3],
+            QueryOptions(backend="python"), POOLED, ks=[3, 3],
             history=history,
         )
         assert plan.workers == 4
@@ -231,8 +233,6 @@ class TestObservedPlanning:
 
     @staticmethod
     def sharded_caps(search_workers=2):
-        from dataclasses import replace
-
         return replace(
             CAPS,
             num_shards=2,
@@ -299,17 +299,16 @@ class TestObservedPlanning:
         assert decision.source == "observed"
         assert "shard pools" in decision.choice
 
-    def test_engine_records_history_and_plans_observed(self, tiny_dataset):
-        """End to end: flushes season the engine's own history."""
+    @staticmethod
+    def make_queries(count=4, seed=5):
         import random
 
         from repro import MaxBRSTkNNQuery
         from repro.model.objects import STObject
         from repro.spatial.geometry import Point
 
-        engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
-        rng = random.Random(5)
-        queries = [
+        rng = random.Random(seed)
+        return [
             MaxBRSTkNNQuery(
                 ox=STObject(
                     item_id=-(i + 1),
@@ -321,8 +320,57 @@ class TestObservedPlanning:
                 ws=1,
                 k=3,
             )
-            for i in range(4)
+            for i in range(count)
         ]
+
+    @pytest.mark.parametrize("per_item_ms", [0.1, 5.0])
+    def test_pooled_query_batch_follows_the_observed_decision(
+        self, tiny_dataset, per_item_ms
+    ):
+        """The executor obeys the plan: sub-ms selection never reaches
+        the injected pool, heavy selection rides it (and explain says so)."""
+        import multiprocessing
+
+        from repro.serve.pool import PersistentWorkerPool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("PersistentWorkerPool requires the fork start method")
+        engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
+        seasoned = self.seasoned_history(
+            self.local_signature(), per_item_ms=per_item_ms
+        )
+        engine.flush_history = seasoned
+        queries = self.make_queries()
+        options = QueryOptions(backend="python")
+        expected = [engine.query(q, options) for q in queries]
+        with PersistentWorkerPool(tiny_dataset, workers=2) as pool:
+            plan = engine.plan(options, ks=[q.k for q in queries], pool=pool)
+            results = engine.query_batch(queries, options, pool=pool)
+        select = engine.last_flush_report.stage("select")
+        (decision,) = plan.decisions
+        assert decision.source == "observed"
+        if per_item_ms < 1.0:
+            assert plan.select_inprocess is True
+            assert decision.choice == "in-process"
+            assert select.scatter_width == 1
+            assert select.payload_bytes_out == 0
+            assert select.payload_bytes_in == 0
+            assert "phase 2 (candidate selection): in-process" in plan.explain()
+        else:
+            assert plan.select_inprocess is False
+            assert plan.workers == 2
+            assert decision.choice == "persistent pool x2"
+            assert select.scatter_width == 2
+            assert select.payload_bytes_out > 0
+            assert "phase 2 (candidate selection): persistent pool x2" in plan.explain()
+        assert [
+            (r.location, r.keywords, r.brstknn) for r in results
+        ] == [(r.location, r.keywords, r.brstknn) for r in expected]
+
+    def test_engine_records_history_and_plans_observed(self, tiny_dataset):
+        """End to end: flushes season the engine's own history."""
+        engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
+        queries = self.make_queries()
         options = QueryOptions(backend="python")
         cold = engine.plan(options, ks=[q.k for q in queries])
         assert all(d.source == "static" for d in cold.decisions)
@@ -357,4 +405,4 @@ class TestEnginePlan:
         engine = MaxBRSTkNNEngine(tiny_dataset, EngineConfig(fanout=4))
         plan = engine.plan()
         assert plan.method is Method.APPROX
-        assert plan.backend == Backend.AUTO.resolve()
+        assert plan.backend == "numpy"

@@ -83,6 +83,46 @@ class TestNonFiniteCoordinates:
             )
 
 
+NON_INTEGRAL = [2.5, 3.0, True, False, "3", None]
+
+
+class TestIntegralKAndWs:
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    @pytest.mark.parametrize("field", ["k", "ws"])
+    def test_rejects_non_integral(self, field, bad):
+        kwargs = {"ws": 1, "k": 1, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MaxBRSTkNNQuery(ox=ox(), locations=[Point(0, 0)], keywords=[1, 2], **kwargs)
+
+    def test_numpy_integers_are_integral(self):
+        import numpy as np
+
+        q = MaxBRSTkNNQuery(
+            ox=ox(), locations=[Point(0, 0)], keywords=[1, 2],
+            ws=np.int32(1), k=np.int64(3),
+        )
+        assert (q.ws, q.k) == (1, 3)
+        assert type(q.ws) is int and type(q.k) is int
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("field,bad", [("k", 2.5), ("ws", True)])
+    def test_both_backends_raise(self, tiny_dataset, backend, field, bad):
+        # k=2.5 used to answer under the python backend and raise
+        # TypeError from numpy's partition; ws=True behaved the same.
+        engine = MaxBRSTkNNEngine(tiny_dataset)
+        kwargs = {"ws": 2, "k": 3, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            engine.query(
+                MaxBRSTkNNQuery(
+                    ox=STObject(item_id=-1, location=Point(5, 5), terms={}),
+                    locations=[Point(5, 5), Point(1, 1)],
+                    keywords=[0, 1, 2, 3],
+                    **kwargs,
+                ),
+                QueryOptions(backend=backend),
+            )
+
+
 class TestResult:
     def test_cardinality_and_summary(self):
         r = MaxBRSTkNNResult(

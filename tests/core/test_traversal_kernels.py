@@ -20,16 +20,14 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
 from repro.core.joint_topk import individual_topk, joint_traversal
-from repro.core.kernels import HAS_NUMPY, TreeArrays, tree_arrays_for
+from repro.core.kernels import TreeArrays, tree_arrays_for
 from repro.model.objects import SuperUser
 from repro.storage.iostats import IOCounter
 from repro.storage.pager import LRUBuffer, PageStore
 
 from ..conftest import make_random_objects, make_random_users
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 
 def random_engine(seed, index_users=False):
@@ -44,7 +42,7 @@ def random_engine(seed, index_users=False):
         alpha=rng.choice([0.0, 0.25, 0.5, 0.9, 1.0]),
     )
     engine = MaxBRSTkNNEngine(
-        dataset, fanout=rng.choice([3, 4, 8]), index_users=index_users
+        dataset, EngineConfig(fanout=rng.choice([3, 4, 8]), index_users=index_users)
     )
     return engine, rng
 

@@ -14,9 +14,11 @@ import pytest
 
 from repro import (
     Dataset,
+    EngineConfig,
     MaxBRSTkNNEngine,
     MaxBRSTkNNQuery,
     Point,
+    QueryOptions,
     STObject,
     User,
 )
@@ -60,10 +62,10 @@ class TestFigure1:
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_optimum_is_l1_sushi_with_three_users(self, figure1, mode, method):
         dataset, query, locations, kw = figure1
-        engine = MaxBRSTkNNEngine(dataset, fanout=4, index_users=True)
+        engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4, index_users=True))
         if mode == "baseline" and method == "approx":
             pytest.skip("baseline has no approximate variant")
-        result = engine.query(query, method=method, mode=mode)
+        result = engine.query(query, QueryOptions(method=method, mode=mode))
         assert result.cardinality == 3
         # The narrative's optimum: menu 'sushi', winning u1, u2, u3.
         # (In this coordinate layout more than one location achieves the

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Dataset
+from repro import Dataset, QueryOptions
 from repro.maxbrknn import (
     NLC,
     best_candidate_location,
@@ -110,6 +110,6 @@ class TestCrossCheckWithEngine:
             ws=0,
             k=k,
         )
-        result = engine.query(query, method="exact")
+        result = engine.query(query, QueryOptions(method="exact"))
         _, gold = best_candidate_location(nlcs, candidates)
         assert result.cardinality == gold

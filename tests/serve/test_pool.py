@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from repro import Dataset, MaxBRSTkNNEngine, QueryOptions
-from repro.core.kernels import HAS_NUMPY, DatasetArrays, arrays_for
+from repro import Dataset, EngineConfig, MaxBRSTkNNEngine, QueryOptions
+from repro.core.kernels import DatasetArrays, arrays_for
 from repro.serve import pool as pool_mod
 from repro.serve.pool import PersistentWorkerPool
 
@@ -40,13 +40,12 @@ def _probe_worker(_):
     """Runs inside a forked worker: report its view of the arrays."""
     ds = pool_mod._WORKER_DATASET
     return (
-        DatasetArrays.build_count if HAS_NUMPY else 0,
+        DatasetArrays.build_count,
         ds is not None,
         getattr(ds, "_kernel_arrays", None) is not None if ds is not None else False,
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_workers_inherit_prebuilt_arrays_without_rebuilding():
     dataset, _ = make_dataset()
     with PersistentWorkerPool(dataset, workers=2) as pool:
@@ -62,7 +61,6 @@ def test_workers_inherit_prebuilt_arrays_without_rebuilding():
         assert worker_builds == parent_builds
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
     dataset, _ = make_dataset(seed=1)
     arrays = arrays_for(dataset)
@@ -79,7 +77,7 @@ def test_arrays_for_memoizes_and_dataset_pickles_without_arrays():
 
 def test_pool_results_match_inprocess_batches():
     dataset, rng = make_dataset(seed=2)
-    engine = MaxBRSTkNNEngine(dataset, fanout=4)
+    engine = MaxBRSTkNNEngine(dataset, EngineConfig(fanout=4))
     from repro.core.query import MaxBRSTkNNQuery
     from repro.model.objects import STObject
     from repro.spatial.geometry import Point
@@ -113,11 +111,10 @@ def _arena_probe_worker(_):
     return (
         pool_mod._WORKER_ARENA_NAME,
         pool_mod._WORKER_GENERATION,
-        DatasetArrays.build_count if HAS_NUMPY else 0,
+        DatasetArrays.build_count,
     )
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestArenaReattach:
     """The zero-copy respawn contract: a generation-N+1 worker maps the
     arena *by name* (its fork happened after SIGKILL recovery, so it

@@ -21,7 +21,6 @@ from repro import (
     QueryOptions,
     STObject,
 )
-from repro.core.kernels import HAS_NUMPY
 from repro.serve import MaxBRSTkNNServer, ServerConfig, ShardedEngine, make_engine
 from repro.spatial.geometry import Point
 
@@ -107,7 +106,6 @@ class TestEquivalenceProperty:
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend")
     def test_numpy_backend_matches_python_reference(self):
         dataset, rng, vocab = build_dataset(seed=4)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))
@@ -226,7 +224,6 @@ class TestIndexedEquivalenceProperty:
             assert_results_equal(a, b)
             assert_stats_equal(a, b)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend")
     def test_indexed_numpy_backend_matches_python_reference(self):
         dataset, rng, vocab = build_dataset(seed=13)
         queries = make_queries(rng, vocab, 6, ks=(3, 5))

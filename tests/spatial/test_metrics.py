@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Dataset
+from repro import Dataset, EngineConfig, QueryOptions
 from repro.core.joint_topk import joint_topk
 from repro.index.irtree import MIRTree
 from repro.spatial.geometry import Point, Rect
@@ -105,7 +105,7 @@ class TestEndToEndWithLpMetrics:
         objects = make_random_objects(60, 10, rng)
         users = make_random_users(12, 10, rng)
         ds = Dataset(objects, users, relevance="LM", alpha=0.5, metric=MANHATTAN)
-        engine = MaxBRSTkNNEngine(ds, index_users=True)
+        engine = MaxBRSTkNNEngine(ds, EngineConfig(index_users=True))
         q = MaxBRSTkNNQuery(
             ox=STObject(-1, Point(5, 5), {}),
             locations=[Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)],
@@ -114,7 +114,7 @@ class TestEndToEndWithLpMetrics:
             k=4,
         )
         cards = {
-            mode: engine.query(q, method="exact", mode=mode).cardinality
+            mode: engine.query(q, QueryOptions(method="exact", mode=mode)).cardinality
             for mode in ("baseline", "joint", "indexed")
         }
         assert len(set(cards.values())) == 1
